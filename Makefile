@@ -5,10 +5,10 @@ GO ?= go
 # iteration of every benchmark (so the benchmark-only files at the repo
 # root are compiled AND executed), the goroutine-leak check, the sweep
 # determinism check, the fault-injection determinism check, the PDES
-# worker-independence check, the lab artifact gate, and a smoke run of
-# every example binary.
+# worker-independence check, the lab artifact gate, a smoke run of
+# every example binary, and the benchmark module's vet and tests.
 .PHONY: ci
-ci: vet lint build race bench leak-check sweep-check fault-check pdes-check lab-check examples
+ci: vet lint build race bench leak-check sweep-check fault-check pdes-check lab-check examples perfbench-check
 
 .PHONY: vet
 vet:
@@ -57,6 +57,13 @@ bench:
 leak-check:
 	$(GO) test ./internal/scenario -run 'TestSweepGoroutineLeak|TestRunShutdownAfterSuccess' -count=1
 	$(GO) test ./internal/sim -run TestShutdown -count=1
+
+# perfbench-check vets and tests the benchmark (perfbench/), a Go module
+# of its own that ./... does not reach, so an API change in the packages
+# it drives fails here instead of at the next benchmark run.
+.PHONY: perfbench-check
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # fuzz gives the go-back-N delivery property a short fuzzing budget.
 .PHONY: fuzz

@@ -11,8 +11,7 @@
 // engine per goroutine, -workers, default GOMAXPROCS) and print in the
 // requested order with identical numbers for any worker count. Each
 // experiment prints one or more tables whose rows correspond to the
-// paper's figure axes; EXPERIMENTS.md records the side-by-side
-// paper-vs-measured readings.
+// paper's figure axes.
 package main
 
 import (

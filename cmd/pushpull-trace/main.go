@@ -61,6 +61,9 @@ func main() {
 	c := cluster.New(cfg)
 	rec := trace.NewRecorder(0)
 	c.SetRecorder(rec)
+	api := func(t *smp.Thread, node int, note string) {
+		rec.Record(trace.Event{T: t.Now(), Node: node, Kind: "api", Note: note})
+	}
 
 	sender := c.Endpoint(0, 0)
 	var receiver *pushpull.Endpoint
@@ -85,16 +88,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "send:", err)
 			os.Exit(1)
 		}
-		rec.Recordf(t.Now(), 0, "api", "send() returned")
+		api(t, 0, "send() returned")
 	})
 	c.Nodes[rNode].SpawnAt(sim.Duration(*lateMS)*sim.Millisecond, "receiver", receiver.CPU, func(t *smp.Thread) {
-		rec.Recordf(t.Now(), rNode, "api", "recv() posted")
+		api(t, rNode, "recv() posted")
 		got, err := receiver.Recv(t, sender.ID, dst, *size)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "recv:", err)
 			os.Exit(1)
 		}
-		rec.Recordf(t.Now(), rNode, "api", "recv() returned %d bytes", len(got))
+		api(t, rNode, fmt.Sprintf("recv() returned %d bytes", len(got)))
 	})
 	end := c.Run()
 

@@ -16,8 +16,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"pushpull/internal/sim"
@@ -82,11 +85,17 @@ type Plan struct {
 	Events []Event `json:"events"`
 }
 
-// ParsePlan decodes a JSON fault plan, rejecting unknown fields.
+// ParsePlan decodes a JSON fault plan, rejecting unknown fields and any
+// data after the plan object.
 func ParsePlan(data []byte) (*Plan, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("fault: parse plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("fault: parse plan: trailing data after the plan object")
 	}
 	return &p, nil
 }

@@ -57,6 +57,33 @@ func TestParsePlanRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestParsePlanRejectsUnknownFields(t *testing.T) {
+	for _, doc := range []string{
+		`{"seed":3,"evnets":[]}`,
+		`{"events":[{"kind":"link-down","node":1,"atMS":1,"untilMS":2,"durationMS":1}]}`,
+	} {
+		_, err := ParsePlan([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("ParsePlan(%s) = %v, want an unknown-field error", doc, err)
+		}
+	}
+}
+
+func TestParsePlanRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{"events":[]} x`,
+		`{"events":[]}{"events":[]}`,
+		`{"events":[]}]`,
+	} {
+		if _, err := ParsePlan([]byte(doc)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("ParsePlan(%s) = %v, want a trailing-data error", doc, err)
+		}
+	}
+	if _, err := ParsePlan([]byte("{\"events\":[]}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestCompileNilPlan(t *testing.T) {
 	s, err := Compile(nil, 1)
 	if err != nil {

@@ -309,9 +309,8 @@ func (s *Sender) onTimeout() {
 	s.consec++
 	if s.cfg.MaxRetries > 0 && s.consec > s.cfg.MaxRetries {
 		s.dead = true
-		s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRTO,
-			"retransmission budget exhausted after %d consecutive timeouts, window [%d,%d) abandoned",
-			s.consec-1, s.base, s.base+uint32(len(s.inflight)))
+		s.rec.Record(trace.Event{T: s.e.Now(), Node: s.recNode, Kind: trace.KindRTO, Variant: trace.Exhausted,
+			Off: int(s.base), Len: len(s.inflight), Aux: [2]int{s.consec - 1}})
 		if s.onDead != nil {
 			cb := s.onDead
 			s.onDead = nil
@@ -319,12 +318,13 @@ func (s *Sender) onTimeout() {
 		}
 		return
 	}
-	s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRTO, "timeout #%d, window [%d,%d) retransmits", s.timeouts, s.base, s.base+uint32(len(s.inflight)))
+	s.rec.Record(trace.Event{T: s.e.Now(), Node: s.recNode, Kind: trace.KindRTO,
+		Off: int(s.base), Len: len(s.inflight), Aux: [2]int{int(s.timeouts)}})
 	for i := range s.inflight {
 		ent := &s.inflight[i]
 		s.retransmissions++
 		ent.rexmit = true
-		s.rec.Recordf(s.e.Now(), s.recNode, trace.KindRetransmit, "seq %d (%dB)", ent.pkt.Seq, ent.pkt.Bytes)
+		s.rec.Record(trace.Event{T: s.e.Now(), Node: s.recNode, Kind: trace.KindRetransmit, Off: int(ent.pkt.Seq), Len: ent.pkt.Bytes})
 		s.transmit(ent.pkt)
 	}
 	next := s.rto()

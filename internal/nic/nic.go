@@ -272,6 +272,11 @@ type wireTx struct {
 	cur   ether.TxCursor
 }
 
+// frameEvent is the trace event for frame f at time t on this card.
+func (nc *NIC) frameEvent(t sim.Time, kind trace.Kind, v trace.Variant, f ether.Frame) trace.Event {
+	return trace.Event{T: t, Node: nc.node.ID, Kind: kind, Variant: v, Len: f.PayloadBytes, Aux: [2]int{f.Src, f.Dst}}
+}
+
 func (w *wireTx) step(tk *sim.Tasklet) {
 	nc := w.nc
 	if !nc.link.TransmitStep(tk, &w.cur, nc, w.frame) {
@@ -279,7 +284,7 @@ func (w *wireTx) step(tk *sim.Tasklet) {
 	}
 	nc.txFrames++
 	nc.txBytes += uint64(w.frame.PayloadBytes)
-	nc.Rec.Recordf(tk.Now(), nc.node.ID, trace.KindNICTx, "frame %d->%d %dB on wire", w.frame.Src, w.frame.Dst, w.frame.PayloadBytes)
+	nc.Rec.Record(nc.frameEvent(tk.Now(), trace.KindNICTx, trace.Primary, w.frame))
 	w.frame = ether.Frame{}
 	nc.wirePool = append(nc.wirePool, w)
 }
@@ -289,12 +294,12 @@ func (w *wireTx) step(tk *sim.Tasklet) {
 func (nc *NIC) DeliverFrame(f ether.Frame) {
 	if nc.inj != nil && nc.inj.RxDrop(nc.node.Engine.Now()) {
 		nc.faultDropped++
-		nc.Rec.Recordf(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB dropped: host paused", f.Src, f.Dst, f.PayloadBytes)
+		nc.Rec.Record(nc.frameEvent(nc.node.Engine.Now(), trace.KindNICDrop, trace.HostPaused, f))
 		return
 	}
 	if nc.rxInFlight >= nc.cfg.RxRingFrames {
 		nc.rxDropped++
-		nc.Rec.Recordf(nc.node.Engine.Now(), nc.node.ID, trace.KindNICDrop, "frame %d->%d %dB lost to rx-ring overflow", f.Src, f.Dst, f.PayloadBytes)
+		nc.Rec.Record(nc.frameEvent(nc.node.Engine.Now(), trace.KindNICDrop, trace.Primary, f))
 		return
 	}
 	nc.rxInFlight++
@@ -334,7 +339,7 @@ func (j *rxJob) step(tk *sim.Tasklet) {
 	case 2:
 		nc.node.Bus.Release()
 		nc.rxFrames++
-		nc.Rec.Recordf(tk.Now(), nc.node.ID, trace.KindNICRx, "frame %d->%d %dB in host ring", j.frame.Src, j.frame.Dst, j.frame.PayloadBytes)
+		nc.Rec.Record(nc.frameEvent(tk.Now(), trace.KindNICRx, trace.Primary, j.frame))
 		f := j.frame
 		j.frame, j.pc = ether.Frame{}, 0
 		nc.rxPool = append(nc.rxPool, j)

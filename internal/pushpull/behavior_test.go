@@ -10,6 +10,7 @@ import (
 	"pushpull/internal/pushpull"
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
+	"pushpull/internal/trace"
 )
 
 func TestRecvErrorThenRetryWithBiggerBuffer(t *testing.T) {
@@ -164,16 +165,16 @@ func TestAllPairsIntranode(t *testing.T) {
 func TestTraceEmitsProtocolPhases(t *testing.T) {
 	opts := pushpull.DefaultOptions()
 	c := internodeCluster(opts)
-	var log strings.Builder
-	for _, st := range c.Stacks {
-		st.Trace = func(format string, args ...any) {
-			fmt.Fprintf(&log, format+"\n", args...)
-		}
-	}
+	rec := trace.NewRecorder(0)
+	c.SetRecorder(rec)
 	data := pattern(1400, 2)
 	got, _ := runTransfer(t, c, 0, 0, 1, 0, data, 0, 0)
 	if !bytes.Equal(got, data) {
 		t.Fatal("transfer corrupted")
+	}
+	var log strings.Builder
+	if err := rec.Render(&log); err != nil {
+		t.Fatal(err)
 	}
 	out := log.String()
 	for _, phase := range []string{"send 1400B internode", "push frag", "pull request", "pull granted", "complete: 1400/1400"} {

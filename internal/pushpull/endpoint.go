@@ -454,7 +454,7 @@ func (ep *Endpoint) complete(t *smp.Thread, m *inboundMsg) {
 		return
 	}
 	m.complete = true
-	ep.stack.event(trace.KindComplete, "%v#%d complete: %d/%d bytes received", m.ch, m.msgID, m.received, m.total)
+	ep.stack.event(trace.Event{Kind: trace.KindComplete, Ch: m.ch.traced(), MsgID: m.msgID, Len: m.total, Aux: [2]int{m.received}})
 	ep.removeInbound(m)
 	if m.op != nil && t != nil {
 		t.Exec(t.SignalCost(ep.stack.Node.CPUs[ep.CPU]))

@@ -190,6 +190,11 @@ func TestChannelAndProcessIDStrings(t *testing.T) {
 	if ch.String() != "n0.p1->n2.p3" {
 		t.Errorf("channel string = %q", ch)
 	}
+	// Trace events carry the channel as plain ints and must render it
+	// the same way.
+	if got := ch.traced().String(); got != ch.String() {
+		t.Errorf("traced channel string = %q, want %q", got, ch)
+	}
 }
 
 func TestValidateRejectsBadGBN(t *testing.T) {

@@ -42,7 +42,7 @@ func (s *Stack) sendInter(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 		t.Exec(cfg.SyscallEntry)
 	}
 	t.Exec(cfg.QueueOp) // register the send operation
-	s.event(trace.KindSend, "%v#%d send %dB internode, push %dB", ch, msgID, total, btp)
+	s.event(trace.Event{Kind: trace.KindSend, Ch: ch.traced(), MsgID: msgID, Len: total, Aux: [2]int{btp}})
 
 	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data, pushed: btp, start: t.Now()}
 	ep.sendOps[sendKey{ch, msgID}] = op
@@ -122,7 +122,11 @@ func (s *Stack) sendInter(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 				// fragment's wire time.
 				translate()
 			}
-			s.event(trace.KindPush, "%v#%d push frag [%d:%d) preloaded=%v", ch, msgID, frag.offset, frag.offset+n, frag.preloaded)
+			ev := trace.Event{Kind: trace.KindPush, Ch: ch.traced(), MsgID: msgID, Off: frag.offset, Len: n}
+			if frag.preloaded {
+				ev.Aux[0] = 1
+			}
+			s.event(ev)
 			sess.send(laneEager, frag.wireBytes(), frag)
 			off += n
 			run -= n
@@ -210,7 +214,7 @@ func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
 	}
 	if m.op != nil {
 		if len(f.data) > 0 {
-			s.event(trace.KindDirect, "%v#%d frag [%d:%d) direct to destination on cpu%d", f.ch, f.msgID, f.offset, f.offset+len(f.data), t.CPU.ID)
+			s.event(trace.Event{Kind: trace.KindDirect, Ch: f.ch.traced(), MsgID: f.msgID, Off: f.offset, Len: len(f.data), Aux: [2]int{t.CPU.ID}})
 		}
 		// Receive registered: copy straight into the destination buffer
 		// through its zero buffer (one copy). The destination's
@@ -240,7 +244,7 @@ func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
 		case ep.ring.tryReserveSlot():
 			m.slots++
 			m.buffered = append(m.buffered, f)
-			s.event(trace.KindPark, "%v#%d frag [%d:%d) parked in pushed buffer (slot %d/%d)", f.ch, f.msgID, f.offset, f.offset+len(f.data), ep.ring.slotsUsed(), ep.ring.slots)
+			s.event(trace.Event{Kind: trace.KindPark, Ch: f.ch.traced(), MsgID: f.msgID, Off: f.offset, Len: len(f.data), Aux: [2]int{ep.ring.slotsUsed(), ep.ring.slots}})
 		case !m.pullSent && f.pushTotal < f.total:
 			// Buffer full, but a pull phase is still to come: discard
 			// this optimistic push and let the pull request re-fetch the
@@ -249,7 +253,7 @@ func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
 			// traffic of earlier messages behind the retransmission.
 			m.dropped = append(m.dropped, byteRange{Off: f.offset, N: len(f.data)})
 			s.discardedBytes += uint64(len(f.data))
-			s.event(trace.KindDiscard, "%v#%d frag [%d:%d) DISCARDED: pushed buffer full, pull will re-fetch", f.ch, f.msgID, f.offset, f.offset+len(f.data))
+			s.event(trace.Event{Kind: trace.KindDiscard, Ch: f.ch.traced(), MsgID: f.msgID, Off: f.offset, Len: len(f.data)})
 		default:
 			// Fully eager message (Push-All or a short fully-pushed
 			// transfer): no pull phase exists to re-fetch the data, so
@@ -261,7 +265,7 @@ func (s *Stack) deliverFrag(t *smp.Thread, f fragMsg) bool {
 			// message with the pull request already out cannot occur —
 			// but if it ever did, a discard here would be an
 			// unrecoverable hole, while refusal retransmits.)
-			s.event(trace.KindRefuse, "%v#%d frag [%d:%d) REFUSED: pushed buffer full", f.ch, f.msgID, f.offset, f.offset+len(f.data))
+			s.event(trace.Event{Kind: trace.KindRefuse, Ch: f.ch.traced(), MsgID: f.msgID, Off: f.offset, Len: len(f.data)})
 			return false
 		}
 	}
@@ -279,7 +283,7 @@ func (s *Stack) sendPullReq(t *smp.Thread, m *inboundMsg) {
 	cfg := s.Node.Cfg
 	t.Exec(cfg.QueueOp)
 	t.Exec(s.nicKernelTrigger())
-	s.event(trace.KindPullReq, "%v#%d pull request (ack) for [%d:%d), %d dropped ranges", m.ch, m.msgID, m.pushTotal, m.total, len(m.dropped))
+	s.event(trace.Event{Kind: trace.KindPullReq, Ch: m.ch.traced(), MsgID: m.msgID, Off: m.pushTotal, Len: m.total - m.pushTotal, Aux: [2]int{len(m.dropped)}})
 	req := pullReqMsg{ch: m.ch, msgID: m.msgID, fromOffset: m.pushTotal, redo: m.dropped}
 	s.inSession(m.ch).send(laneCtrl, req.wireBytes(), req)
 }
@@ -317,7 +321,7 @@ func (s *Stack) servePull(t *smp.Thread, req pullReqMsg) {
 	if t.Now() < op.srcReadyAt {
 		t.P.Sleep(op.srcReadyAt.Sub(t.Now()))
 	}
-	s.event(trace.KindPullGrant, "%v#%d pull granted, transmitting [%d:%d) + %d redo ranges", req.ch, req.msgID, op.pushed, len(op.data), len(req.redo))
+	s.event(trace.Event{Kind: trace.KindPullGrant, Ch: req.ch.traced(), MsgID: req.msgID, Off: op.pushed, Len: len(op.data) - op.pushed, Aux: [2]int{len(req.redo)}})
 	sess := s.outSession(req.ch)
 	total := len(op.data)
 	ranges := append(append([]byteRange(nil), req.redo...), byteRange{Off: op.pushed, N: total - op.pushed})

@@ -22,7 +22,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 	t.Exec(cfg.CallOverhead)
 	t.Exec(cfg.SyscallEntry)
 	t.Exec(cfg.QueueOp) // register the send operation
-	s.event(trace.KindSend, "%v#%d send %dB intranode, push %dB", ch, msgID, total, btp)
+	s.event(trace.Event{Kind: trace.KindSend, Variant: trace.Intranode, Ch: ch.traced(), MsgID: msgID, Len: total, Aux: [2]int{btp}})
 
 	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data, pushed: btp}
 	op.srcReadyAt = t.Now() // intranode: pull thread translates on its own
@@ -59,7 +59,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 			t.Copy(btp, false)
 			copy(m.buf[:btp], data[:btp])
 			m.received += btp
-			s.event(trace.KindDirect, "%v#%d pushed %dB direct to destination", ch, msgID, btp)
+			s.event(trace.Event{Kind: trace.KindDirect, Variant: trace.Intranode, Ch: ch.traced(), MsgID: msgID, Len: btp})
 		}
 		if m.pullRemainder() > 0 {
 			// The send party starts the pull phase itself: the receive
@@ -80,7 +80,7 @@ func (s *Stack) sendIntra(t *smp.Thread, ep *Endpoint, ch ChannelID, msgID uint6
 			t.Copy(btp, false)
 			frag := fragMsg{ch: ch, msgID: msgID, offset: 0, data: data[:btp], total: total, pushTotal: btp}
 			m.buffered = append(m.buffered, frag)
-			s.event(trace.KindPark, "%v#%d pushed %dB to pushed buffer (%dB held)", ch, msgID, btp, peer.ring.bytesUsed())
+			s.event(trace.Event{Kind: trace.KindPark, Variant: trace.Intranode, Ch: ch.traced(), MsgID: msgID, Len: btp, Aux: [2]int{peer.ring.bytesUsed()}})
 		}
 		if btp == total {
 			s.finishSend(ep, op)
@@ -109,7 +109,7 @@ func (s *Stack) dispatchIntraPull(m *inboundMsg) {
 	if s.Opts.PullLocal {
 		cpu = s.Node.CPUs[s.eps[m.ch.To.Proc].CPU]
 	}
-	s.event(trace.KindPullDispatch, "%v#%d pull dispatched to cpu%d", m.ch, m.msgID, cpu.ID)
+	s.event(trace.Event{Kind: trace.KindPullDispatch, Ch: m.ch.traced(), MsgID: m.msgID, Aux: [2]int{cpu.ID}})
 	s.Node.SpawnKernel(fmt.Sprintf("pull/%v", m.ch), cpu, func(t *smp.Thread) {
 		s.intraPull(t, m)
 	})

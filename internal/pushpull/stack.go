@@ -72,9 +72,6 @@ type Stack struct {
 	// parked senders at declaration time, plus fast-failed entries).
 	failedOps uint64
 
-	// Trace, when set, receives one line per protocol event (used by
-	// cmd/pushpull-trace).
-	Trace func(format string, args ...any)
 	// Rec, when set, receives every protocol event as a structured
 	// trace.Event. A nil recorder is valid and records nothing.
 	Rec *trace.Recorder
@@ -101,12 +98,6 @@ func NewStack(n *smp.Node, opts Options) *Stack {
 	}
 }
 
-func (s *Stack) trace(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(format, args...)
-	}
-}
-
 // SetRecorder attaches a structured trace recorder to the stack and
 // propagates it to the attached NICs and go-back-N sessions, so one
 // recorder sees the whole node's protocol, link and reliability events.
@@ -127,13 +118,11 @@ func (s *Stack) SetRecorder(rec *trace.Recorder) {
 	}
 }
 
-// event publishes one structured protocol event (and mirrors it onto the
-// printf hook, prefixed with the current virtual time).
-func (s *Stack) event(k trace.Kind, format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace("%v  "+format, append([]any{s.Node.Engine.Now()}, args...)...)
-	}
-	s.Rec.Recordf(s.Node.Engine.Now(), s.Node.ID, k, format, args...)
+// event publishes one structured protocol event, stamped with this
+// node's current virtual time.
+func (s *Stack) event(ev trace.Event) {
+	ev.T, ev.Node = s.Node.Engine.Now(), s.Node.ID
+	s.Rec.Record(ev)
 }
 
 // NewEndpoint registers a communicating process on this node, bound to
@@ -389,7 +378,7 @@ func (ps *chanSession) deliverCtrl(pkt gbn.Packet) bool {
 // routes the frame to its channel's session and lane.
 func (s *Stack) handleFrame(railIdx int, t *smp.Thread, f ether.Frame) {
 	if !s.peers[f.Src] {
-		s.event(trace.KindError, "frame from unknown peer %d dropped", f.Src)
+		s.event(trace.Event{Kind: trace.KindError, Note: fmt.Sprintf("frame from unknown peer %d dropped", f.Src)})
 		return
 	}
 	wm, ok := f.Payload.(wireMsg)
@@ -432,7 +421,7 @@ func (s *Stack) peerUnreachable(peer int) {
 	}
 	err := &PeerUnreachableError{Node: s.Node.ID, Peer: peer}
 	s.deadPeers[peer] = err
-	s.event(trace.KindError, "peer node %d unreachable: retransmission budget exhausted", peer)
+	s.event(trace.Event{Kind: trace.KindError, Note: fmt.Sprintf("peer node %d unreachable: retransmission budget exhausted", peer)})
 	// Endpoints are numbered 0..Procs()-1 by every builder; index order
 	// keeps the wake sequence deterministic.
 	for proc := 0; proc < len(s.eps); proc++ {

@@ -1,6 +1,8 @@
 package pushpull
 
 import (
+	"fmt"
+
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
 	"pushpull/internal/trace"
@@ -35,7 +37,7 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 	t.Exec(cfg.CallOverhead)
 	t.Exec(cfg.SyscallEntry)
 	t.Exec(cfg.QueueOp) // register the send operation
-	s.event(trace.KindSend, "%v#%d send %dB three-phase", ch, msgID, total)
+	s.event(trace.Event{Kind: trace.KindSend, Variant: trace.ThreePhase, Ch: ch.traced(), MsgID: msgID, Len: total})
 
 	op := &sendOp{ch: ch, msgID: msgID, tag: so.Tag, addr: addr, data: data}
 	ep.sendOps[sendKey{ch, msgID}] = op
@@ -71,14 +73,14 @@ func (s *Stack) sendInterThreePhase(t *smp.Thread, ep *Endpoint, ch ChannelID, m
 		t.Exec(cfg.WakeLatency)
 	}
 	if op.err != nil {
-		s.event(trace.KindError, "%v#%d three-phase send aborted: %v", ch, msgID, op.err)
+		s.event(trace.Event{Kind: trace.KindError, Note: fmt.Sprintf("%v#%d three-phase send aborted: %v", ch, msgID, op.err)})
 		s.finishSend(ep, op)
 		t.Exec(cfg.SyscallExit)
 		return
 	}
 
 	// Phase 3: transmit the whole message from the send process's thread.
-	s.event(trace.KindPullGrant, "%v#%d CTS received, transmitting %dB", ch, msgID, total)
+	s.event(trace.Event{Kind: trace.KindPullGrant, Variant: trace.ThreePhase, Ch: ch.traced(), MsgID: msgID, Len: total})
 	for off := 0; off < total; {
 		n := total - off
 		if n > MaxFragData {

@@ -106,7 +106,8 @@ func TestThreePhaseSenderBlocksUntilReceiverPosts(t *testing.T) {
 }
 
 // The wire never carries message data before the CTS: every data-bearing
-// event must follow the pull request in the trace.
+// event must follow the pull request in the trace, the CTS asks for the
+// whole message, and the direct copies after it tile the message in order.
 func TestThreePhaseNoDataBeforeCTS(t *testing.T) {
 	c := internodeCluster(threePhaseOptions())
 	rec := trace.NewRecorder(0)
@@ -122,10 +123,22 @@ func TestThreePhaseNoDataBeforeCTS(t *testing.T) {
 		t.Fatalf("want exactly one CTS, traced %d", len(reqs))
 	}
 	cts := reqs[0].Seq
+	want := trace.Channel{FromNode: 0, FromProc: 0, ToNode: 1, ToProc: 0}
+	if r := reqs[0]; r.Ch != want || r.Off != 0 || r.Len != len(data) {
+		t.Errorf("CTS %v: want channel %v, range [0:%d)", r, want, len(data))
+	}
+	next := 0
 	for _, ev := range rec.OfKind(trace.KindDirect) {
 		if ev.Seq < cts {
 			t.Errorf("data copied to destination before CTS: %v", ev)
 		}
+		if ev.Ch != want || ev.Off != next {
+			t.Errorf("direct copy %v: want channel %v, offset %d", ev, want, next)
+		}
+		next = ev.Off + ev.Len
+	}
+	if next != len(data) {
+		t.Errorf("direct copies end at byte %d, want %d", next, len(data))
 	}
 	if n := rec.Count(trace.KindPush); n != 0 {
 		t.Errorf("three-phase pushed %d data fragments; want none", n)

@@ -5,6 +5,7 @@ import (
 
 	"pushpull/internal/ether"
 	"pushpull/internal/sim"
+	"pushpull/internal/trace"
 	"pushpull/internal/vm"
 )
 
@@ -50,6 +51,11 @@ type ChannelID struct {
 }
 
 func (c ChannelID) String() string { return fmt.Sprintf("%v->%v", c.From, c.To) }
+
+// traced names the channel the way trace events carry it.
+func (c ChannelID) traced() trace.Channel {
+	return trace.Channel{FromNode: c.From.Node, FromProc: c.From.Proc, ToNode: c.To.Node, ToProc: c.To.Proc}
+}
 
 // laneKey identifies one (channel, tag) matching lane. Receives bind a
 // lane's messages strictly in the order they were sent, even when rail

@@ -60,14 +60,15 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	spec.Seed = cfg.Seed
 
 	c := cluster.New(cfg)
-	// One recorder per node: under a partitioned (PDES) cluster each
-	// node's stack records from its own shard, so the recorders must not
-	// be shared. Sequential clusters get the same layout — the Result
-	// only reads per-kind counts, which merge below, so the layout is
-	// digest-neutral either way.
+	// One counting recorder per node: the Result reads only per-kind
+	// counts, so no event is retained or formatted. Under a partitioned
+	// (PDES) cluster each node's stack records from its own shard, so the
+	// recorders must not be shared. Sequential clusters get the same
+	// layout — the counts merge below, so the layout is digest-neutral
+	// either way.
 	recs := make([]*trace.Recorder, len(c.Stacks))
 	for i := range recs {
-		recs[i] = trace.NewRecorder(4096)
+		recs[i] = trace.NewCounter()
 	}
 	c.SetNodeRecorders(recs)
 	if spec.Protocol.Adaptive {
