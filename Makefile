@@ -52,11 +52,13 @@ bench:
 # leak-check pins the engine-teardown contract: a sweep whose points
 # exhaust their virtual-time budget (rank threads and protocol actors
 # still parked) must return runtime.NumGoroutine to baseline — the
-# regression test for the parked-goroutine leak Engine.Shutdown fixes.
+# regression test for the parked-goroutine leak Engine.Shutdown fixes —
+# and idle interrupt-handler workers must unwind the same way.
 .PHONY: leak-check
 leak-check:
 	$(GO) test ./internal/scenario -run 'TestSweepGoroutineLeak|TestRunShutdownAfterSuccess' -count=1
 	$(GO) test ./internal/sim -run TestShutdown -count=1
+	$(GO) test ./internal/smp -run TestShutdown -count=1
 
 # perfbench-check vets and tests the benchmark (perfbench/), a Go module
 # of its own that ./... does not reach, so an API change in the packages

@@ -479,6 +479,7 @@ func runAblationPullCPU(p Params) []*stats.Table {
 			workerDone = t.Now()
 		})
 		c.Run()
+		c.Shutdown()
 		s.Add(0, sim.Duration(workerDone).Microseconds()/1000)
 	}
 	return []*stats.Table{tab}

@@ -168,6 +168,7 @@ func adaptivePhases(p Params, adaptive bool) (early, late float64, wasted uint64
 	cfg := cluster.DefaultConfig()
 	cfg.Opts.PushedBufBytes = 2048 // one ring slot: a late 2-fragment push overflows
 	c := cluster.New(cfg)
+	defer c.Shutdown()
 	var ctl *adapt.Controller
 	if adaptive {
 		ac := adapt.DefaultConfig()
@@ -287,6 +288,7 @@ func runCollective(p Params) []*stats.Table {
 					end = r.Thread().Now()
 				}
 			})
+			w.Cluster().Shutdown()
 			s.Add(float64(vec), end.Sub(start).Microseconds()/float64(iters))
 		}
 	}
@@ -306,6 +308,7 @@ func LongVectorCollective(ranks, iters int, body func(r *coll.Rank)) (perOp, max
 	cfg.UseSwitch = true
 	cfg.Opts.PushedBufBytes = 64 << 10
 	c := cluster.New(cfg)
+	defer c.Shutdown()
 	w := coll.NewWorld(c)
 	var start, end sim.Time
 	w.Run(func(r *coll.Rank) {
@@ -433,6 +436,7 @@ func runScale(p Params) []*stats.Table {
 					end = r.Thread().Now()
 				}
 			})
+			w.Cluster().Shutdown()
 			s.Add(float64(nodes), end.Sub(start).Microseconds()/float64(iters))
 		}
 	}

@@ -102,10 +102,11 @@ func (st Study) JSON() []byte {
 	return out
 }
 
-// ParseStudy decodes and validates a study file.
+// ParseStudy decodes and validates a study file. Unknown keys and
+// trailing data are errors, as for scenario specs.
 func ParseStudy(data []byte) (Study, error) {
 	var st Study
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := scenario.DecodeStrict(data, &st); err != nil {
 		return Study{}, fmt.Errorf("lab: parsing study: %w", err)
 	}
 	if err := st.Validate(); err != nil {

@@ -143,6 +143,35 @@ func TestParseStudyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuiltinStudiesRoundTrip: every builtin study parses back from its
+// own JSON (strictly) unchanged.
+func TestBuiltinStudiesRoundTrip(t *testing.T) {
+	for _, st := range BuiltinStudies() {
+		back, err := ParseStudy(st.JSON())
+		if err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
+		}
+		if !bytes.Equal(back.JSON(), st.JSON()) {
+			t.Errorf("%s: JSON round trip changed the study", st.Name)
+		}
+	}
+}
+
+// TestParseStudyStrict: a misspelled key, top-level or inside a job, and
+// data after the object are errors.
+func TestParseStudyStrict(t *testing.T) {
+	valid := string(testStudy().JSON())
+	for _, tc := range []struct{ name, in, want string }{
+		{"stray top-level key", strings.Replace(valid, `"jobs"`, `"jobz": [], "jobs"`, 1), `unknown field "jobz"`},
+		{"stray job key", strings.Replace(valid, `"kind"`, `"iterz": 5, "kind"`, 1), `unknown field "iterz"`},
+		{"trailing bytes", valid + "{}", "trailing data"},
+	} {
+		if _, err := ParseStudy([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseStudy error = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestStoreNewestFirst: List orders artifacts by capture stamp,
 // newest first.
 func TestStoreNewestFirst(t *testing.T) {

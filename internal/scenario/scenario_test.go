@@ -133,6 +133,24 @@ func TestDeterminismDifferentSeeds(t *testing.T) {
 	}
 }
 
+// TestParseSpecStrict: a misspelled key, top-level or nested, and data
+// after the object are errors rather than a silently unmodified run.
+func TestParseSpecStrict(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"stray top-level key", `{"trafic":{"pattern":"pingpong"}}`, `unknown field "trafic"`},
+		{"stray nested key", `{"protocol":{"maxRetrys":1}}`, `unknown field "maxRetrys"`},
+		{"trailing bytes", `{"name":"x"} {}`, "trailing data"},
+		{"trailing garbage", `{"name":"x"}]`, "trailing data"},
+	} {
+		if _, err := ParseSpec([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseSpec(%s) error = %v, want one mentioning %q", tc.name, tc.in, err, tc.want)
+		}
+	}
+	if _, err := ParseSpec([]byte(`{"protocol":{"maxRetries":1}}` + "\n")); err != nil {
+		t.Errorf("valid spec with trailing whitespace rejected: %v", err)
+	}
+}
+
 // TestSpecJSONRoundTrip: rendering a spec and parsing it back must be
 // the identity, and parsing overlays onto the paper defaults.
 func TestSpecJSONRoundTrip(t *testing.T) {

@@ -15,8 +15,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"pushpull/coll"
 	"pushpull/internal/adapt"
@@ -195,11 +198,28 @@ func DefaultSpec() Spec {
 	}
 }
 
+// DecodeStrict decodes the one JSON object in data into v. A key that
+// matches no field of v, at any depth, is an error, and so is anything
+// after the object: a misspelled key must fail, not silently run the
+// unmodified experiment.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the top-level object")
+	}
+	return nil
+}
+
 // ParseSpec overlays JSON onto DefaultSpec, so a spec file only states
-// what differs from the paper's testbed.
+// what differs from the paper's testbed. Unknown keys and trailing data
+// are errors (see DecodeStrict).
 func ParseSpec(data []byte) (Spec, error) {
 	s := DefaultSpec()
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := DecodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -420,10 +420,10 @@ func runPoint(pt Point, opts ...RunOption) (pr PointResult) {
 
 // ParseSweep overlays JSON onto a default-rooted sweep, so a sweep file
 // only states what differs from the paper's testbed (mirroring
-// ParseSpec).
+// ParseSpec, strictness included).
 func ParseSweep(data []byte) (Sweep, error) {
 	sw := Sweep{Base: DefaultSpec()}
-	if err := json.Unmarshal(data, &sw); err != nil {
+	if err := DecodeStrict(data, &sw); err != nil {
 		return Sweep{}, fmt.Errorf("scenario: parsing sweep: %w", err)
 	}
 	if _, err := sw.Expand(); err != nil {

@@ -229,6 +229,21 @@ func TestSweepPointResultsCarryTheirParameters(t *testing.T) {
 	}
 }
 
+// TestParseSweepStrict mirrors TestParseSpecStrict for sweep files,
+// including a stray key inside the base spec.
+func TestParseSweepStrict(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"stray top-level key", `{"name":"s","grdi":{}}`, `unknown field "grdi"`},
+		{"stray grid key", `{"name":"s","grid":{"seedz":[1]}}`, `unknown field "seedz"`},
+		{"stray base key", `{"name":"s","base":{"protocol":{"maxRetrys":1}}}`, `unknown field "maxRetrys"`},
+		{"trailing bytes", `{"name":"s"}x`, "trailing data"},
+	} {
+		if _, err := ParseSweep([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseSweep(%s) error = %v, want one mentioning %q", tc.name, tc.in, err, tc.want)
+		}
+	}
+}
+
 // TestSweepJSONRoundTrip: sweep specs are files; rendering and parsing
 // one back must be the identity, and parsing overlays base defaults.
 func TestSweepJSONRoundTrip(t *testing.T) {

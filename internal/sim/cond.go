@@ -50,21 +50,28 @@ func (c *Cond) WaitFor(p *Process, pred func() bool) {
 
 // Signal wakes the longest-waiting waiter, if any. It reports whether a
 // waiter was woken.
-func (c *Cond) Signal() bool {
+func (c *Cond) Signal() bool { return c.SignalAfter(0) }
+
+// SignalAfter is Signal with the wake delayed by virtual duration d. The
+// waiter resumes in the slot (now+d, PriorityNormal, next seq) — the slot
+// Engine.GoAt(d) gives a new process's start — through one event, so
+// handing work to a parked worker instead of starting a process for it
+// leaves the execution order unchanged.
+func (c *Cond) SignalAfter(d Duration) bool {
 	if len(c.waiters) == 0 {
 		return false
 	}
 	w := c.waiters[0]
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
-	w.wake()
+	w.wake(d)
 	return true
 }
 
 // Broadcast wakes every waiting waiter, in FIFO order.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
-		w.wake()
+		w.wake(0)
 	}
 	c.waiters = c.waiters[:0]
 }

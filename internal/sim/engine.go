@@ -79,7 +79,6 @@ type Engine struct {
 	dq     []dispatchEntry
 	dqHead int
 
-	yield   chan struct{} // running process hands control back here
 	stopped bool
 	rng     *Rand
 
@@ -105,7 +104,6 @@ type Engine struct {
 // random source derived from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		yield:     make(chan struct{}, 1),
 		rng:       NewRand(seed),
 		nameCount: make(map[string]int),
 	}
@@ -289,7 +287,8 @@ func (e *Engine) Live() int { return e.nproc }
 // unregister removes p from the live-process registry by swapping the
 // last entry into its slot. It runs either in engine context (never-
 // started processes dropped by Shutdown) or in a finishing process's
-// goroutine while the engine is blocked on yield — exclusive either way.
+// coroutine while the engine is suspended in transfer — exclusive either
+// way.
 func (e *Engine) unregister(p *Process) {
 	last := len(e.procs) - 1
 	moved := e.procs[last]
@@ -299,9 +298,11 @@ func (e *Engine) unregister(p *Process) {
 	e.procs = e.procs[:last]
 }
 
-// Shutdown tears the engine down: every parked process goroutine is
+// Shutdown tears the engine down: every parked process coroutine is
 // resumed into a poison panic that unwinds it (running its defers), and
-// the remaining event set is cleared. Without this, a run that ends with
+// the remaining event set is cleared. Idle workers parked between jobs —
+// the interrupt-handler pool in smp, say — are parked processes like any
+// other and unwind the same way. Without this, a run that ends with
 // processes still parked — protocol pumps at virtual-budget exhaustion,
 // for instance — leaks one goroutine per parked process for the life of
 // the program.
@@ -318,19 +319,18 @@ func (e *Engine) Shutdown() {
 	for len(e.procs) > 0 {
 		p := e.procs[len(e.procs)-1]
 		if !p.started {
-			// The start event never ran, so no goroutine exists; clearing
+			// The start event never ran, so no coroutine exists; clearing
 			// the event set below disposes of the pending start.
 			p.done = true
 			e.unregister(p)
 			e.nproc--
 			continue
 		}
-		// The goroutine is blocked in park's resume receive (a started,
-		// unfinished process has nowhere else to block). Resume it; park
-		// sees dying and panics the shutdown sentinel, the process's defer
-		// recovers it, unregisters, and yields back.
-		p.resume <- struct{}{}
-		<-e.yield
+		// The coroutine is suspended in park (a started, unfinished
+		// process has nowhere else to block). Resume it; park sees dying
+		// and panics the shutdown sentinel, the process's defer recovers
+		// it and unregisters, and the coroutine returns.
+		p.next()
 		if e.fault != nil && fault == nil {
 			fault = e.fault
 		}

@@ -1,18 +1,31 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a goroutine-backed simulation coroutine. At most one process
-// (or event callback) executes at any moment: the engine resumes a process,
-// then blocks until the process parks again (by sleeping or waiting) or
-// finishes. This strict hand-off keeps simulations deterministic and
-// race-free.
+// Process is a simulation coroutine running on a goroutine of its own. At
+// most one process (or event callback) executes at any moment: the engine
+// resumes a process, then blocks until the process parks again (by sleeping
+// or waiting) or finishes. This strict hand-off keeps simulations
+// deterministic and race-free.
+//
+// The hand-off is an iter.Pull coroutine: resuming is a direct goroutine
+// switch (the runtime's coroswitch) that never passes through the
+// scheduler's run queues.
 //
 // Process methods must only be called from within that process's own body.
 type Process struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
+	e    *Engine
+	name string
+	// next runs the coroutine until it parks or finishes; yield, called
+	// from the coroutine, hands control back. Both come from iter.Pull
+	// when the start event runs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// transferFn is the bound transfer method, created once: scheduling
 	// p.transfer directly would allocate a fresh method-value closure on
 	// every wake and sleep.
@@ -21,7 +34,7 @@ type Process struct {
 	// transferring so double-wake detection sees the true state.
 	wakeFn func()
 	done   bool
-	// started flips once the start event has run and the goroutine exists;
+	// started flips once the start event has run and the coroutine exists;
 	// Shutdown must not resume a process that never started.
 	started bool
 	// pidx is this process's slot in the engine's registry (for O(1)
@@ -36,7 +49,7 @@ type Process struct {
 }
 
 // shutdownSentinel is the poison panic used by Engine.Shutdown to unwind
-// parked process goroutines; each process's recover treats it as a normal
+// parked process coroutines; each process's recover treats it as a normal
 // exit rather than a model fault.
 type shutdownSentinel struct{}
 
@@ -49,7 +62,7 @@ func (e *Engine) Go(name string, body func(p *Process)) *Process {
 
 // GoAt is like Go but delays the start of the process by d.
 func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
-	p := &Process{e: e, name: e.uniqueName(name), resume: make(chan struct{}, 1)}
+	p := &Process{e: e, name: e.uniqueName(name)}
 	p.transferFn = p.transfer
 	p.wakeFn = func() {
 		p.wakePending = false
@@ -60,13 +73,13 @@ func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 	e.procs = append(e.procs, p)
 	e.Schedule(d, func() {
 		p.started = true
-		go func() {
-			<-p.resume
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
-				// Panics inside a process would otherwise kill the whole
-				// program from an anonymous goroutine; capture and re-raise
-				// them in engine context so callers of Run see them. The
-				// shutdown sentinel is the one expected unwinding.
+				// Capture a panic inside the process and re-raise it in
+				// engine context (transfer), so callers of Run see the
+				// model's own panic value. The shutdown sentinel is the
+				// one expected unwinding.
 				if r := recover(); r != nil {
 					if _, ok := r.(shutdownSentinel); !ok {
 						p.e.fault = r
@@ -75,27 +88,18 @@ func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 				p.done = true
 				p.e.unregister(p)
 				p.e.nproc--
-				p.e.yield <- struct{}{}
 			}()
 			body(p)
-		}()
+		})
 		p.transfer()
 	})
 	return p
 }
 
-// transfer hands the engine's control token to the process and blocks until
-// the process parks or finishes. Must be called from engine context.
-//
-// Both control channels are buffered (capacity 1), so handing the token
-// over costs each side a single blocking channel operation: the resume
-// send completes immediately and the engine parks only on the yield
-// receive; symmetrically the process's yield send completes immediately —
-// the engine regains control without a second rendezvous — and the
-// process parks only on its resume receive.
+// transfer resumes the process and returns once it parks or finishes.
+// Must be called from engine context.
 func (p *Process) transfer() {
-	p.resume <- struct{}{}
-	<-p.e.yield
+	p.next()
 	if p.e.fault != nil {
 		f := p.e.fault
 		p.e.fault = nil
@@ -104,22 +108,22 @@ func (p *Process) transfer() {
 }
 
 // park suspends the process until something resumes it. Must be called from
-// process context. A resume during engine shutdown unwinds the goroutine
+// process context. A resume during engine shutdown unwinds the coroutine
 // instead of returning to the model.
 func (p *Process) park() {
-	p.e.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.e.dying {
 		panic(shutdownSentinel{})
 	}
 }
 
-// wake schedules the process to resume at the current virtual time. It is
-// the engine-side counterpart to park. Waking a finished process, or one
+// wake schedules the process to resume after virtual duration d, in the
+// slot (now+d, PriorityNormal, next seq). It is the engine-side
+// counterpart to park. Waking a finished process, or one
 // whose previous wake has not run yet, is always a model bug; the panic
 // carries enough context (process, virtual time, what it was parked on)
 // to find it.
-func (p *Process) wake() {
+func (p *Process) wake(d Duration) {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %s at %v (last parked on %s)",
 			p.name, p.e.now, p.parkedDesc()))
@@ -130,7 +134,7 @@ func (p *Process) wake() {
 	}
 	p.wakePending = true
 	p.waiting = false
-	p.e.At(p.e.now, PriorityNormal, p.wakeFn)
+	p.e.At(p.e.now.Add(d), PriorityNormal, p.wakeFn)
 }
 
 // parkOn records the cond the process is registering on; with wake it

@@ -8,13 +8,14 @@
 // exactly reproducible. On top of the raw event layer sit two execution
 // tiers that model code chooses between:
 //
-//   - Processes (sim.Process): goroutine-backed coroutines that may block
-//     on virtual time (Sleep), conditions (Cond), bounded queues (Queue)
-//     and resources (Resource). The engine hands control to at most one
-//     process at a time, so process code reads like straight-line protocol
-//     code yet remains deterministic. Each resume costs a goroutine
-//     handoff (~2 µs): fine for application-level scenario code, too
-//     expensive for protocol hot paths.
+//   - Processes (sim.Process): coroutines, each on a goroutine of its own,
+//     that may block on virtual time (Sleep), conditions (Cond), bounded
+//     queues (Queue) and resources (Resource). The engine hands control to
+//     at most one process at a time, so process code reads like
+//     straight-line protocol code yet remains deterministic. Each resume
+//     is a coroutine switch (iter.Pull) to the process's goroutine and
+//     back: cheap enough for application code and interrupt handlers,
+//     still several times a tasklet resume.
 //   - Tasklets (sim.Tasklet): resumable state-machine callbacks dispatched
 //     inline by the engine with zero goroutine handoff. A tasklet's step
 //     function runs in engine context and parks by registering with a

@@ -12,8 +12,8 @@ import "fmt"
 // Tasklet implement it. Model code passes Waiter values through — e.g. a
 // Subscribe(w Waiter) API — but never implements them.
 type Waiter interface {
-	// wake makes the waiter runnable at the current virtual time.
-	wake()
+	// wake makes the waiter runnable after virtual duration d.
+	wake(d Duration)
 	// parkOn records which condition the waiter is registered on, for
 	// diagnostics when a wake goes wrong.
 	parkOn(c *Cond)
@@ -21,8 +21,8 @@ type Waiter interface {
 
 // Tasklet is the engine's second execution tier: a resumable state-machine
 // callback dispatched inline, with zero goroutine handoff. Where a Process
-// costs two channel operations and a goroutine context switch per resume,
-// a tasklet resume is an ordinary function call out of the event loop —
+// costs a coroutine switch to its goroutine and back per resume, a
+// tasklet resume is an ordinary function call out of the event loop —
 // same-timestamp wake chains batch through the direct-dispatch ring and
 // never leave engine context.
 //
@@ -92,18 +92,20 @@ func (tk *Tasklet) Start() { tk.Wake() }
 // Wake schedules the next step at the current virtual time. Waking a
 // tasklet that is already scheduled is a no-op (wakes coalesce), so any
 // number of same-instant signals produce exactly one step.
-func (tk *Tasklet) Wake() {
+func (tk *Tasklet) Wake() { tk.wake(0) }
+
+// wake and parkOn implement Waiter. A delayed wake coalesces like Wake:
+// a tasklet already scheduled keeps its pending step.
+func (tk *Tasklet) wake(d Duration) {
 	if tk.scheduled {
 		return
 	}
 	tk.scheduled = true
 	tk.waiting = false
 	tk.parked = nil
-	tk.e.At(tk.e.now, PriorityNormal, tk.runFn)
+	tk.e.At(tk.e.now.Add(d), PriorityNormal, tk.runFn)
 }
 
-// wake and parkOn implement Waiter.
-func (tk *Tasklet) wake()          { tk.Wake() }
 func (tk *Tasklet) parkOn(c *Cond) { tk.waiting = true; tk.parked = c }
 
 // Sleep schedules the next step after virtual duration d. It must be the

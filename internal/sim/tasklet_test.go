@@ -309,7 +309,7 @@ func TestDoubleWakePanicsWithContext(t *testing.T) {
 			}
 			e.Stop() // the victim's wake is still pending; don't run it twice
 		}()
-		e.procs[0].wake() // second wake of the same park
+		e.procs[0].wake(0) // second wake of the same park
 	})
 	e.Run()
 }
@@ -339,7 +339,7 @@ func TestWakeFinishedProcessPanics(t *testing.T) {
 				}
 			}
 		}()
-		victim.wake()
+		victim.wake(0)
 	})
 	e.Run()
 }

@@ -45,6 +45,19 @@ type InterruptController struct {
 	asymTarget int
 	pollCPU    int
 	raised     uint64
+	// idle holds the handler workers parked between invocations, reused
+	// LIFO; deliver starts a new worker only when none is idle.
+	idle []*irqWorker
+}
+
+// irqWorker is a reusable interrupt-handler process. It runs one handler
+// invocation at a time on its Thread, then returns to the controller's
+// idle list and parks on wake until deliver hands it the next one.
+type irqWorker struct {
+	wake    *sim.Cond
+	t       Thread
+	cost    sim.Duration
+	handler func(t *Thread)
 }
 
 func newInterruptController(n *Node) *InterruptController {
@@ -74,8 +87,11 @@ func (ic *InterruptController) Raised() uint64 { return ic.raised }
 // Raise is tier-neutral: it only schedules, never blocks, so it may be
 // called from any engine-context code — an event callback, a tasklet step
 // (the NIC receive path raises from one), or a process body. The handler
-// itself always runs on a fresh irq/ process, because handler bodies
-// block (bus copies, Exec) and so need the goroutine tier.
+// itself runs on an irq/ worker process, because handler bodies block
+// (bus copies, Exec) and so need the process tier. Workers are reused: an
+// idle one is woken for the invocation, and a new one is started only
+// when every worker on the node is busy, so each node runs at most as
+// many workers as it has overlapping handler invocations.
 func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 	ic.raised++
 	n := ic.node
@@ -97,15 +113,41 @@ func (ic *InterruptController) Raise(name string, handler func(t *Thread)) {
 }
 
 // deliver schedules handler on cpu after an untimed wait (polling delay)
-// plus a timed dispatch cost charged to (and stolen from) the CPU.
+// plus a timed dispatch cost charged to (and stolen from) the CPU. Waking
+// an idle worker with SignalAfter(wait) takes the very slot GoAt(wait)
+// would give a new worker's start, so reuse leaves the execution order
+// unchanged.
 func (ic *InterruptController) deliver(name string, cpu *Processor, wait, cost sim.Duration, handler func(t *Thread)) {
+	if k := len(ic.idle) - 1; k >= 0 {
+		w := ic.idle[k]
+		ic.idle[k] = nil
+		ic.idle = ic.idle[:k]
+		w.t.CPU, w.cost, w.handler = cpu, cost, handler
+		w.wake.SignalAfter(wait)
+		return
+	}
 	n := ic.node
-	n.Engine.GoAt(wait, "irq/"+name, func(p *sim.Process) {
-		t := &Thread{P: p, Node: n, CPU: cpu, handler: true}
-		t.Exec(cost)
-		handler(t)
+	w := &irqWorker{
+		wake:    sim.NewCond(n.Engine),
+		t:       Thread{Node: n, CPU: cpu, handler: true},
+		cost:    cost,
+		handler: handler,
+	}
+	n.Engine.GoAt(wait, "irq/"+name, func(p *sim.Process) { ic.serve(w, p) })
+}
+
+// serve is an irq worker's body: run the handed-over invocation, go idle,
+// park until the next one.
+func (ic *InterruptController) serve(w *irqWorker, p *sim.Process) {
+	w.t.P = p
+	for {
+		w.t.Exec(w.cost)
+		w.handler(&w.t)
 		if ic.policy != Polling {
-			t.Exec(n.Cfg.InterruptExit)
+			w.t.Exec(ic.node.Cfg.InterruptExit)
 		}
-	})
+		w.handler = nil
+		ic.idle = append(ic.idle, w)
+		w.wake.Wait(p)
+	}
 }

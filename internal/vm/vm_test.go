@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,58 @@ func TestFrameAllocatorInterleaves(t *testing.T) {
 	a, b := fa.Alloc(), fa.Alloc()
 	if b == a+1 {
 		t.Errorf("consecutive allocations %d, %d are physically adjacent; allocator should interleave", a, b)
+	}
+}
+
+// eagerFrameOrder is the allocator's reference free stack, built in full:
+// the interleaved order 0, n/2, 1, n/2+1, ... (odd tail last), reversed
+// so that pops come off the end in that order.
+func eagerFrameOrder(n uint64) []uint64 {
+	half := n / 2
+	order := make([]uint64, 0, n)
+	for i := uint64(0); i < half; i++ {
+		order = append(order, i, half+i)
+	}
+	for i := 2 * half; i < n; i++ {
+		order = append(order, i)
+	}
+	stack := make([]uint64, n)
+	for i, fr := range order {
+		stack[len(order)-1-i] = fr
+	}
+	return stack
+}
+
+// TestFrameAllocatorMatchesEagerOrder replays random alloc/free sequences
+// against the fully built reference stack: every frame returned, and
+// FreeFrames after every step, must agree.
+func TestFrameAllocatorMatchesEagerOrder(t *testing.T) {
+	for _, frames := range []uint64{1, 2, 7, 16, 33} {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			fa := NewFrameAllocator(frames << PageShift)
+			ref := eagerFrameOrder(frames)
+			var held []uint64
+			for step := 0; step < 200; step++ {
+				if len(ref) > 0 && (len(held) == 0 || rng.Intn(3) > 0) {
+					want := ref[len(ref)-1]
+					ref = ref[:len(ref)-1]
+					if got := fa.Alloc(); got != want {
+						t.Fatalf("frames=%d seed=%d step %d: Alloc = %d, want %d", frames, seed, step, got, want)
+					}
+					held = append(held, want)
+				} else if len(held) > 0 {
+					i := rng.Intn(len(held))
+					fr := held[i]
+					held = append(held[:i], held[i+1:]...)
+					fa.Free(fr)
+					ref = append(ref, fr)
+				}
+				if got := fa.FreeFrames(); got != uint64(len(ref)) {
+					t.Fatalf("frames=%d seed=%d step %d: FreeFrames = %d, want %d", frames, seed, step, got, len(ref))
+				}
+			}
+		}
 	}
 }
 
