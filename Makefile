@@ -4,11 +4,12 @@ GO ?= go
 # lint pass, build, the full test suite under the race detector, one
 # iteration of every benchmark (so the benchmark-only files at the repo
 # root are compiled AND executed), the goroutine-leak check, the sweep
-# determinism check, the fault-injection determinism check, the PDES
-# worker-independence check, the lab artifact gate, a smoke run of
-# every example binary, and the benchmark module's vet and tests.
+# determinism check, the fault-injection determinism check, the lab
+# artifact gate, a smoke run of every example binary, the benchmark
+# module's vet and tests, and a short fuzzing pass over every config
+# decoder and the go-back-N delivery property.
 .PHONY: ci
-ci: vet lint build race bench leak-check sweep-check fault-check pdes-check lab-check examples perfbench-check
+ci: vet lint build race bench leak-check sweep-check fault-check lab-check examples perfbench-check fuzz-check
 
 .PHONY: vet
 vet:
@@ -72,6 +73,23 @@ perfbench-check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGoBackNDelivery -fuzztime 30s ./internal/gbn/
 
+# fuzz-check fuzzes each config decoder (spec, sweep, study, fault plan)
+# and the go-back-N delivery property for a few seconds apiece: decoding
+# must return an error, never panic, and accepted input must re-encode
+# byte-stably. Minimization is capped so a newly interesting input
+# cannot spend the budget being shrunk; two workers keep memory small.
+.PHONY: fuzz-check
+fuzz-check:
+	@for t in FuzzParseSpec:./internal/scenario FuzzParseSweep:./internal/scenario \
+		FuzzParseStudy:./internal/lab FuzzParsePlan:./internal/fault \
+		FuzzGoBackNDelivery:./internal/gbn; do \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}\$$" -fuzztime 4s -fuzzminimizetime 1s -parallel 2 "$${t#*:}" >/dev/null || { \
+			echo "fuzz-check FAILED: $${t%%:*} (rerun it to see the failing input under testdata/fuzz)"; \
+			exit 1; \
+		}; \
+		echo "fuzz-check OK ($${t%%:*})"; \
+	done
+
 # scenarios regenerates the builtin scenario results as JSON.
 .PHONY: scenarios
 scenarios:
@@ -107,6 +125,19 @@ examples:
 # on a lossy wire. The parallel leg pins 8 workers, not GOMAXPROCS: on a
 # single-core CI box GOMAXPROCS resolves to 1 and would compare two
 # serial runs, never exercising the pool at all.
+.PHONY: sweep-check
+sweep-check:
+	@for sw in smoke-grid coll-smoke fault-smoke proto-grid; do \
+		d1=$$($(GO) run ./cmd/pushpull-scen sweep -workers 1 -digest $$sw) || exit 1; \
+		dn=$$($(GO) run ./cmd/pushpull-scen sweep -workers 8 -digest $$sw) || exit 1; \
+		if [ "$$d1" != "$$dn" ]; then \
+			echo "sweep-check FAILED: workers changed $$sw's aggregate digest"; \
+			echo "  1 worker:  $$d1"; \
+			echo "  N workers: $$dn"; \
+			exit 1; \
+		fi; \
+		echo "sweep-check OK ($$sw): $$d1"; \
+	done
 
 # fault-check pins the fault-injection subsystem: the lossy/blackout
 # suites run under the race detector, and every fault-family builtin
@@ -164,58 +195,9 @@ lab-baseline:
 	$(GO) run ./cmd/pushpull-lab run -workers 4 -out internal/lab/testdata/baseline-smoke.json smoke
 
 # bench-capture appends one wall-clock capture of the tracked
-# internal/sim microbenchmarks to the BENCH_sim.json series, then times
-# the PDES speedup probe (sequential vs 1/2/4 workers) into
-# BENCH_pdes.json (the lab's replacement for hand-editing those files
-# after a -bench run). Speedups > 1 need a multi-core box; single-core
-# CI captures legitimately record ~1.0 and stamp their gomaxprocs.
+# internal/sim microbenchmarks to the BENCH_sim.json series (the lab's
+# replacement for hand-editing it after a -bench run).
 # Pass a context line: make bench-capture COMMENT="what changed".
 .PHONY: bench-capture
 bench-capture:
 	$(GO) run ./cmd/pushpull-lab gobench -comment "$(COMMENT)"
-
-# pdes-check pins the conservative-PDES contract: (1) the partition's
-# property and digest tests run under the race detector (the superstep
-# barrier and shard handoff are the raciest code in the repo), and
-# (2) every builtin scenario produces a byte-identical digest at 1 and
-# 4 workers through the CLI — at the specs' own seeds AND at an
-# override seed, because data-dependent patterns (wavefront) exercise
-# different cross-shard interleaves per seed. Note the comparison is
-# 1 vs 4 workers on
-# the partition, not partition vs sequential: sharded runs draw from
-# split per-shard RNG streams, so their digests legitimately differ
-# from the sequential engine's (which the pinned-digest capture covers).
-.PHONY: pdes-check
-pdes-check:
-	$(GO) test -race ./internal/sim -run 'TestPDES|TestPartition|TestPlanWindow' -count=1
-	$(GO) test -race ./internal/scenario -run 'TestPDES' -count=1
-	@scens=$$($(GO) run ./cmd/pushpull-scen list | awk '{print $$1}'); \
-	for seed in 0 7; do \
-		d1=$$($(GO) run ./cmd/pushpull-scen run -par 1 -seed $$seed $$scens 2>&1 >/dev/null | sed -n 's/.*digest //p') || exit 1; \
-		d4=$$($(GO) run ./cmd/pushpull-scen run -par 4 -seed $$seed $$scens 2>&1 >/dev/null | sed -n 's/.*digest //p') || exit 1; \
-		if [ -z "$$d1" ]; then \
-			echo "pdes-check FAILED: no digests captured from the builtin runs (seed $$seed)"; \
-			exit 1; \
-		fi; \
-		if [ "$$d1" != "$$d4" ]; then \
-			echo "pdes-check FAILED: worker count changed at least one builtin digest (seed $$seed)"; \
-			echo "--- 1 worker / +++ 4 workers:"; \
-			printf '%s\n' "$$d1" > /tmp/pdes-w1.$$$$; printf '%s\n' "$$d4" | diff /tmp/pdes-w1.$$$$ - | head -20; rm -f /tmp/pdes-w1.$$$$; \
-			exit 1; \
-		fi; \
-		echo "pdes-check OK: $$(printf '%s\n' "$$d1" | wc -l) builtin digests byte-identical at 1 and 4 workers (seed $$seed)"; \
-	done
-
-.PHONY: sweep-check
-sweep-check:
-	@for sw in smoke-grid coll-smoke fault-smoke proto-grid; do \
-		d1=$$($(GO) run ./cmd/pushpull-scen sweep -workers 1 -digest $$sw) || exit 1; \
-		dn=$$($(GO) run ./cmd/pushpull-scen sweep -workers 8 -digest $$sw) || exit 1; \
-		if [ "$$d1" != "$$dn" ]; then \
-			echo "sweep-check FAILED: workers changed $$sw's aggregate digest"; \
-			echo "  1 worker:  $$d1"; \
-			echo "  N workers: $$dn"; \
-			exit 1; \
-		fi; \
-		echo "sweep-check OK ($$sw): $$d1"; \
-	done

@@ -138,7 +138,7 @@ func (r *Rank) progressed(rq *Request) *Request {
 	rq.progressed = true
 	// The completion cond lives on the rank's node engine: Broadcast runs
 	// from the node's progression tasklet and Wait parks the rank's own
-	// thread, so the whole handshake is shard-local.
+	// thread.
 	rq.doneC = sim.NewNamedCond(r.w.c.Nodes[r.cm.ID().Node].Engine, fmt.Sprintf("coll-done/r%d.t%d", r.id, rq.tag))
 	r.w.enqueueProgress(rq)
 	return rq

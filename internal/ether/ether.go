@@ -112,16 +112,10 @@ const (
 	txSerialized         // wire held for the serialization time; finish
 )
 
-// halfLink is one direction of a full-duplex link. Each half is homed
-// on its transmitter's engine — the wire resource, the serialization
-// state, the counters and the loss draws all belong to the sender's
-// shard — and delivery crosses to the receiver's engine through
-// ScheduleOn, which is a plain local Schedule when both ends share one
-// engine (the sequential topology) and a routed cross-shard event under
-// a sim.Partition.
+// halfLink is one direction of a full-duplex link: its own wire
+// resource, serialization state, counters and fault injector.
 type halfLink struct {
-	e    *sim.Engine // transmitter-side engine: owns wire, counters, draws
-	dste *sim.Engine // receiver-side engine: delivery target
+	e    *sim.Engine
 	cfg  Config
 	dst  Port
 	wire *sim.Resource
@@ -137,8 +131,7 @@ type halfLink struct {
 
 // Link is a full-duplex point-to-point Fast Ethernet segment between two
 // ports. Each direction serializes independently (full duplex), so data
-// and acknowledgement traffic do not contend — and under a partitioned
-// run each direction lives entirely on its transmitter's shard.
+// and acknowledgement traffic do not contend.
 type Link struct {
 	cfg  Config
 	a, b Port
@@ -148,37 +141,23 @@ type Link struct {
 
 // NewLink connects two ports back-to-back on one engine.
 func NewLink(e *sim.Engine, cfg Config, a, b Port) *Link {
-	return NewLinkOn(e, e, cfg, a, b)
-}
-
-// NewLinkOn connects two ports that may live on different engines of the
-// same sim.Partition: ea drives a's transmissions (and receives b's),
-// eb the converse. With ea == eb it is exactly NewLink. The link's
-// propagation delay is the latency floor every cross-engine frame
-// respects — the conservative lookahead a partition over this topology
-// may use.
-func NewLinkOn(ea, eb *sim.Engine, cfg Config, a, b Port) *Link {
 	return &Link{
 		cfg: cfg,
 		a:   a,
 		b:   b,
 		ab: halfLink{
-			e: ea, dste: eb, cfg: cfg, dst: b,
-			wire: sim.NewResource(ea, fmt.Sprintf("wire %d->%d", a.NodeID(), b.NodeID())),
+			e: e, cfg: cfg, dst: b,
+			wire: sim.NewResource(e, fmt.Sprintf("wire %d->%d", a.NodeID(), b.NodeID())),
 		},
 		ba: halfLink{
-			e: eb, dste: ea, cfg: cfg, dst: a,
-			wire: sim.NewResource(eb, fmt.Sprintf("wire %d->%d", b.NodeID(), a.NodeID())),
+			e: e, cfg: cfg, dst: a,
+			wire: sim.NewResource(e, fmt.Sprintf("wire %d->%d", b.NodeID(), a.NodeID())),
 		},
 	}
 }
 
 // Config reports the link technology.
 func (l *Link) Config() Config { return l.cfg }
-
-// Lookahead reports the link's latency floor: no frame reaches the far
-// engine sooner than this after leaving its transmitter.
-func (l *Link) Lookahead() sim.Duration { return l.cfg.Propagation }
 
 // FramesSent reports the number of frames fully serialized onto the link.
 func (l *Link) FramesSent() uint64 { return l.ab.sent + l.ba.sent }
@@ -187,13 +166,7 @@ func (l *Link) FramesSent() uint64 { return l.ab.sent + l.ba.sent }
 func (l *Link) FramesLost() uint64 { return l.ab.lost + l.ba.lost }
 
 // SetInjector arms one fault injector on both directions (nil disarms).
-// Partitioned runs use SetInjectorDirs instead: the two directions
-// execute on different shards and must not share stateful overlays.
 func (l *Link) SetInjector(in *fault.LinkInjector) { l.ab.inj, l.ba.inj = in, in }
-
-// SetInjectorDirs arms per-direction fault injectors: ab on the a->b
-// half, ba on the b->a half.
-func (l *Link) SetInjectorDirs(ab, ba *fault.LinkInjector) { l.ab.inj, l.ba.inj = ab, ba }
 
 // FaultLost reports frames dropped by the armed fault injectors.
 func (l *Link) FaultLost() uint64 { return l.ab.faultLost + l.ba.faultLost }
@@ -243,8 +216,7 @@ func (l *Link) dir(from Port) *halfLink {
 }
 
 // finish runs once the frame has fully serialized: count it, draw the
-// loss lottery, and schedule delivery after the propagation delay. It
-// runs on the transmitter's engine; delivery lands on the receiver's.
+// loss lottery, and schedule delivery after the propagation delay.
 func (h *halfLink) finish(f Frame) {
 	h.sent++
 	if h.cfg.LossRate > 0 && h.e.Rand().Float64() < h.cfg.LossRate {
@@ -259,21 +231,5 @@ func (h *halfLink) finish(f Frame) {
 	}
 	frame := f
 	dst := h.dst
-	h.e.ScheduleOn(h.dste, h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
-}
-
-// MinLookahead reports the smallest positive propagation delay among
-// the given links — the conservative lookahead bound for a partition
-// whose shards are connected by them (every cross-shard frame is
-// delayed at least this much). It returns 0 when no link contributes a
-// positive floor, in which case a conservative partition over the
-// topology is not admissible.
-func MinLookahead(links ...*Link) sim.Duration {
-	var min sim.Duration
-	for _, l := range links {
-		if p := l.cfg.Propagation; p > 0 && (min == 0 || p < min) {
-			min = p
-		}
-	}
-	return min
+	h.e.Schedule(h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
 }

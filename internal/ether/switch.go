@@ -114,17 +114,9 @@ func (p *switchPort) DeliverFrame(f Frame) {
 // node's NIC should transmit on. outQueue bounds the per-port output
 // queue in frames (0 = unbounded).
 func (s *Switch) Attach(nodePort Port, outQueue int) *Link {
-	return s.AttachOn(nodePort, s.e, outQueue)
-}
-
-// AttachOn is Attach for partitioned runs: the node side of the access
-// link lives on nodeEngine while the switch side (output queue, pump,
-// forwarding plane) stays on the switch's own engine. With nodeEngine
-// == s.e it is exactly Attach.
-func (s *Switch) AttachOn(nodePort Port, nodeEngine *sim.Engine, outQueue int) *Link {
 	sp := &switchPort{sw: s, nodeID: nodePort.NodeID(), outQ: sim.NewQueue[Frame](s.e, outQueue)}
 	sp.outQ.SetName(fmt.Sprintf("switch-outq/%d", nodePort.NodeID()))
-	link := NewLinkOn(nodeEngine, s.e, s.cfg, nodePort, sp)
+	link := NewLink(s.e, s.cfg, nodePort, sp)
 	sp.link = link
 	s.ports[nodePort.NodeID()] = sp
 	// Per-port transmitter pump: drains the output queue onto the node's

@@ -69,6 +69,20 @@ func TestParsePlanRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParsePlanExactKeys: plan keys match exactly (encoding/json alone
+// fills AtMS from "atMs"), and an unknown key is reported with its path.
+func TestParsePlanExactKeys(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{`{"events":[{"kind":"link-down","node":1,"atMs":1,"untilMS":2}]}`, `unknown field "atMs" at events[0].atMs (did you mean "atMS"?)`},
+		{`{"SEED":3,"events":[]}`, `unknown field "SEED" at SEED (did you mean "seed"?)`},
+		{`{"events":[{"kind":"link-down","node":1,"atMS":1,"untilMS":2},{"kind":"nic-stall","untilMs":3}]}`, `unknown field "untilMs" at events[1].untilMs`},
+	} {
+		if _, err := ParsePlan([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParsePlan(%s) = %v, want an error containing %q", tc.doc, err, tc.want)
+		}
+	}
+}
+
 func TestParsePlanRejectsTrailingData(t *testing.T) {
 	for _, doc := range []string{
 		`{"events":[]} x`,

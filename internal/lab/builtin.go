@@ -56,22 +56,7 @@ func BuiltinStudies() []Study {
 		},
 	}
 
-	pdes := Study{
-		Name:        "pdes",
-		Description: "conservative-PDES orchestration: representative scenarios on the 4-worker partition, reporting supersteps, routed events and lookahead utilization (digests identical to any other worker count by construction)",
-		Jobs: []Job{
-			{Name: "permutation", Kind: KindScenario, Target: "permutation",
-				Repetitions: 2, ParallelWorkers: 4},
-			{Name: "wavefront", Kind: KindScenario, Target: "wavefront",
-				ParallelWorkers: 4},
-			{Name: "allreduce", Kind: KindScenario, Target: "coll-allreduce",
-				ParallelWorkers: 4},
-			{Name: "internode-pingpong", Kind: KindScenario, Target: "paper-internode-pingpong",
-				Messages: 500, ParallelWorkers: 4},
-		},
-	}
-
-	return []Study{smoke, collectives, faults, longvector, pdes}
+	return []Study{smoke, collectives, faults, longvector}
 }
 
 // StudyNames lists the builtin study names, sorted.

@@ -106,60 +106,6 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
-			Name: "BenchmarkPDESSuperstepBarrier", Note: "one 8-shard superstep per op: feed pool, drain, barrier (4 workers)",
-			F: func(b *testing.B) {
-				const shards = 8
-				p := sim.NewPartition(1, shards, 4, 100)
-				defer p.Shutdown()
-				var tick [shards]func()
-				for i := 0; i < shards; i++ {
-					e, n := p.Shard(i), i
-					tick[i] = func() { e.Schedule(100, tick[n]) }
-					e.At(1, sim.PriorityNormal, tick[i])
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.RunUntil(p.Now().Add(100))
-				}
-			},
-		},
-		{
-			Name: "BenchmarkPDESCrossShardRouting", Note: "one routed event per op: outbox, barrier merge, destination insert",
-			F: func(b *testing.B) {
-				p := sim.NewPartition(1, 2, 1, 100)
-				defer p.Shutdown()
-				a, c := p.Shard(0), p.Shard(1)
-				var fwd, back func()
-				fwd = func() { a.ScheduleOn(c, 100, back) }
-				back = func() { c.ScheduleOn(a, 100, fwd) }
-				a.At(1, sim.PriorityNormal, fwd)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.RunUntil(p.Now().Add(100))
-				}
-			},
-		},
-		{
-			Name: "BenchmarkPDESWindowPlanning", Note: "one conservative-window computation per op (PlanWindow over 16 loaded shards)",
-			F: func(b *testing.B) {
-				const shards = 16
-				p := sim.NewPartition(1, shards, 1, 100)
-				defer p.Shutdown()
-				for i := 0; i < shards; i++ {
-					p.Shard(i).At(sim.Time(1+i*10), sim.PriorityNormal, func() {})
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, ok := p.PlanWindow(); !ok {
-						b.Fatal("unplannable window")
-					}
-				}
-			},
-		},
-		{
 			Name: "BenchmarkTimerArmCancel", Note: "one Reset+Stop cycle per op (the go-back-N retransmission shape)",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)

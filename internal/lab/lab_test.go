@@ -172,6 +172,32 @@ func TestParseStudyStrict(t *testing.T) {
 	}
 }
 
+// TestParseStudyExactKeys: study keys match exactly, and an unknown key
+// is reported with its path, job index included.
+func TestParseStudyExactKeys(t *testing.T) {
+	valid := string(testStudy().JSON())
+	for _, tc := range []struct{ in, want string }{
+		{strings.Replace(valid, `"jobs"`, `"JOBS": [], "jobs"`, 1), `unknown field "JOBS" at JOBS (did you mean "jobs"?)`},
+		{strings.Replace(valid, `"messages": 50`, `"Messages": 3, "messages": 50`, 1), `unknown field "Messages" at jobs[0].Messages (did you mean "messages"?)`},
+		{strings.Replace(valid, `"name": "intra"`, `"sweeep": "smoke-grid", "name": "intra"`, 1), `unknown field "sweeep" at jobs[1].sweeep`},
+	} {
+		if _, err := ParseStudy([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseStudy error = %v, want one containing %q", err, tc.want)
+		}
+	}
+}
+
+// TestParseStudyRejectsParallelWorkers: jobs no longer take
+// parallelWorkers (in-run parallelism was removed), so a study file that
+// still names it fails strict decoding instead of silently running
+// sequentially.
+func TestParseStudyRejectsParallelWorkers(t *testing.T) {
+	in := strings.Replace(string(testStudy().JSON()), `"name": "intra"`, `"parallelWorkers": 4, "name": "intra"`, 1)
+	if _, err := ParseStudy([]byte(in)); err == nil || !strings.Contains(err.Error(), `unknown field "parallelWorkers" at jobs[1].parallelWorkers`) {
+		t.Errorf("ParseStudy with a parallelWorkers job = %v, want an unknown-field error", err)
+	}
+}
+
 // TestStoreNewestFirst: List orders artifacts by capture stamp,
 // newest first.
 func TestStoreNewestFirst(t *testing.T) {

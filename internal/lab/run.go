@@ -88,9 +88,6 @@ func runScenarioJob(j Job, workers int) (JobResult, error) {
 	if j.Algorithm != "" {
 		spec.Traffic.Algorithm = j.Algorithm
 	}
-	if j.ParallelWorkers > 0 {
-		spec.ParallelWorkers = j.ParallelWorkers
-	}
 	seeds := jobSeeds(j, spec)
 
 	results := make([]*scenario.Result, len(seeds))
@@ -120,9 +117,6 @@ func runScenarioJob(j Job, workers int) (JobResult, error) {
 		receives   float64
 		bytesTotal float64
 		throughput []float64
-		supersteps float64
-		routed     float64
-		lookUtil   []float64
 	)
 	for i, seed := range seeds {
 		if errs[i] != nil {
@@ -139,11 +133,6 @@ func runScenarioJob(j Job, workers int) (JobResult, error) {
 		receives += float64(res.Receives)
 		bytesTotal += float64(res.Bytes)
 		throughput = append(throughput, res.ThroughputMBps)
-		if res.PDES != nil {
-			supersteps += float64(res.PDES.Supersteps)
-			routed += float64(res.PDES.RoutedEvents)
-			lookUtil = append(lookUtil, res.PDES.LookaheadUtilization)
-		}
 	}
 	jr.Digest = hex.EncodeToString(h.Sum(nil))
 	jr.Metrics = []Metric{
@@ -157,19 +146,6 @@ func runScenarioJob(j Job, workers int) (JobResult, error) {
 			sum += t
 		}
 		jr.Metrics = append(jr.Metrics, Metric{Name: "throughputMBps", Unit: "MB/s", Value: sum / float64(n)})
-	}
-	// PDES orchestration metrics appear only for partitioned runs, and
-	// every value below is schedule-derived — identical for any worker
-	// count, so the body-digest guarantee survives the extra rows.
-	if n := len(lookUtil); n > 0 {
-		var sum float64
-		for _, u := range lookUtil {
-			sum += u
-		}
-		jr.Metrics = append(jr.Metrics,
-			Metric{Name: "pdesSupersteps", Unit: "ops", Value: supersteps},
-			Metric{Name: "pdesRoutedEvents", Unit: "ops", Value: routed},
-			Metric{Name: "pdesLookaheadUtil", Unit: "ratio", Value: sum / float64(n)})
 	}
 	jr.addQuantiles("latency", "µs", samples)
 	return jr, nil

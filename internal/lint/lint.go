@@ -1,7 +1,8 @@
 // Package lint implements pushpull-lint: five repo-specific static
 // analyzers that enforce, at compile time, the invariants the digest
 // replays only check after the fact. The whole repo rests on runs being
-// byte-identical for any worker count (ROADMAP; `make pdes-check`), and
+// byte-identical for any worker count (`make sweep-check`, `make
+// lab-check`) and for any seed replay (the pinned digests), and
 // every analyzer here guards one way that property has been broken or
 // nearly broken before:
 //

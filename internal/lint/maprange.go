@@ -19,10 +19,9 @@ var maprangeAnalyzer = &Analyzer{
 // scheduleMethods are engine entry points whose invocation order decides
 // event-ID allocation and therefore tie-breaking and digests.
 var scheduleMethods = map[string]bool{
-	"Schedule":   true,
-	"ScheduleOn": true,
-	"At":         true,
-	"AtCancel":   true,
+	"Schedule": true,
+	"At":       true,
+	"AtCancel": true,
 }
 
 // hashWriteMethods feed bytes into a running digest.

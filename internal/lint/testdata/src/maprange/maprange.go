@@ -13,7 +13,6 @@ import (
 type Engine struct{}
 
 func (e *Engine) Schedule(d int, fn func())          {}
-func (e *Engine) ScheduleOn(s, d int, fn func())     {}
 func (e *Engine) At(d int, fn func())                {}
 func (e *Engine) AtCancel(d int, fn func()) func()   { return nil }
 func (e *Engine) Other(keys []string, m map[int]int) {}

@@ -60,17 +60,10 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	spec.Seed = cfg.Seed
 
 	c := cluster.New(cfg)
-	// One counting recorder per node: the Result reads only per-kind
-	// counts, so no event is retained or formatted. Under a partitioned
-	// (PDES) cluster each node's stack records from its own shard, so the
-	// recorders must not be shared. Sequential clusters get the same
-	// layout — the counts merge below, so the layout is digest-neutral
-	// either way.
-	recs := make([]*trace.Recorder, len(c.Stacks))
-	for i := range recs {
-		recs[i] = trace.NewCounter()
-	}
-	c.SetNodeRecorders(recs)
+	// One counting recorder for the whole cluster: the Result reads only
+	// per-kind counts, so no event is retained or formatted.
+	rec := trace.NewCounter()
+	c.SetRecorder(rec)
 	if spec.Protocol.Adaptive {
 		ac := spec.adaptConfig(cfg.Opts)
 		for _, st := range c.Stacks {
@@ -91,10 +84,8 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 		Latency:   stats.Summarize(samples),
 		Events:    make(map[string]uint64),
 	}
-	for _, rec := range recs {
-		for _, kind := range rec.Kinds() {
-			res.Events[string(kind)] += rec.Count(kind)
-		}
+	for _, kind := range rec.Kinds() {
+		res.Events[string(kind)] = rec.Count(kind)
 	}
 	var receives uint64
 	for node, st := range c.Stacks {
@@ -120,24 +111,6 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 	if len(c.NICs) > 0 {
 		fl := c.FrameLoss()
 		res.FrameLoss = &fl
-	}
-	if st, ok := c.PDESStats(); ok {
-		// Attached after sealing, like FrameLoss: the superstep counters
-		// are schedule-derived (identical for any worker count), but
-		// Workers is the one knob that may legitimately differ between
-		// two otherwise identical runs — and `make pdes-check` diffs
-		// exactly those digests.
-		res.PDES = &PDESResult{
-			Workers:              c.Partition.Workers(),
-			Shards:               c.Partition.Shards(),
-			LookaheadNS:          int64(c.Partition.Lookahead()),
-			Supersteps:           st.Supersteps,
-			RootSteps:            st.RootSteps,
-			RoutedEvents:         st.RoutedEvents,
-			MeanReady:            st.MeanReady(),
-			MaxReady:             st.MaxReady,
-			LookaheadUtilization: st.LookaheadUtilization(),
-		}
 	}
 	return res, nil
 }

@@ -51,13 +51,6 @@ type Result struct {
 	// from the digest (see seal), so the pre-existing pinned digests —
 	// including the lossy ones — are unaffected by its introduction.
 	FrameLoss *cluster.FrameLoss `json:"frameLoss,omitempty"`
-	// PDES reports the conservative-PDES orchestration counters when the
-	// run executed on a partitioned cluster (Spec.ParallelWorkers > 0 on
-	// an eligible topology). Like FrameLoss it is set after sealing and
-	// excluded from the digest: the superstep counters are identical for
-	// any worker count, but Workers itself is the knob `make pdes-check`
-	// varies while demanding byte-identical digests.
-	PDES *PDESResult `json:"pdes,omitempty"`
 	// Samples holds the raw per-message latencies (µs) when the run was
 	// asked to keep them.
 	Samples []float64 `json:"samples,omitempty"`

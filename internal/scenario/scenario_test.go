@@ -151,6 +151,41 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestParseSpecExactKeys: keys match field names exactly, not up to
+// case (encoding/json alone accepts this input with Messages = 9), and
+// an unknown key is reported with its path.
+func TestParseSpecExactKeys(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{`{"TRAFFIC":{"MESSAGES":3,"messages":9}}`, `unknown field "TRAFFIC" at TRAFFIC (did you mean "traffic"?)`},
+		{`{"traffic":{"MESSAGES":3,"messages":9}}`, `unknown field "MESSAGES" at traffic.MESSAGES (did you mean "messages"?)`},
+		{`{"traffic":{"mesages":3}}`, `unknown field "mesages" at traffic.mesages`},
+	} {
+		if _, err := ParseSpec([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSpec(%s) error = %v, want one containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestSpecParallelWorkersRejected: the field survives only so that old
+// spec files naming it fail loudly; any non-zero value is an error that
+// names the field and points at sweep-level parallelism.
+func TestSpecParallelWorkersRejected(t *testing.T) {
+	_, err := ParseSpec([]byte(`{"parallelWorkers":4}`))
+	if err == nil {
+		t.Fatal("ParseSpec accepted parallelWorkers 4")
+	}
+	for _, want := range []string{"parallelWorkers", "removed", "sweep -workers"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	spec := DefaultSpec()
+	spec.ParallelWorkers = -1
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "parallelWorkers") {
+		t.Errorf("Run with parallelWorkers -1 = %v, want a parallelWorkers error", err)
+	}
+}
+
 // TestSpecJSONRoundTrip: rendering a spec and parsing it back must be
 // the identity, and parsing overlays onto the paper defaults.
 func TestSpecJSONRoundTrip(t *testing.T) {

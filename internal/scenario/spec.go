@@ -15,11 +15,8 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 
 	"pushpull/coll"
 	"pushpull/internal/adapt"
@@ -29,6 +26,7 @@ import (
 	"pushpull/internal/pushpull"
 	"pushpull/internal/sim"
 	"pushpull/internal/smp"
+	"pushpull/internal/strictjson"
 )
 
 // Spec is one complete declarative scenario. The zero value is not
@@ -52,13 +50,9 @@ type Spec struct {
 	// loss bursts, switch-port blackouts, node pauses, NIC stalls. Runs
 	// with a plan report a degradation section in their Result.
 	Faults *fault.Plan `json:"faults,omitempty"`
-	// ParallelWorkers > 0 enables conservative-PDES execution: the
-	// topology is split into one shard per node (plus one for the switch)
-	// and that many worker goroutines drain lookahead-bounded windows in
-	// parallel. The digest is byte-identical for any worker count;
-	// topologies without a conservative lookahead (hub, intranode,
-	// zero-propagation links) silently run sequentially. 0 is the plain
-	// sequential engine.
+	// ParallelWorkers is kept only so that old spec files naming it
+	// fail with a clear message: in-run parallelism was removed, and
+	// Validate rejects any non-zero value. It affects no run.
 	ParallelWorkers int `json:"parallelWorkers,omitempty"`
 }
 
@@ -80,7 +74,7 @@ type Topology struct {
 	LossRate float64 `json:"lossRate,omitempty"`
 	// Policy is the reception-handler invocation method: "symmetric",
 	// "asymmetric" or "polling" (§2 stage 3 of the paper).
-	Policy       string  `json:"policy,omitempty"`
+	Policy       string  `json:"policy"`
 	PolicyTarget int     `json:"policyTarget,omitempty"`
 	PollPeriodUS float64 `json:"pollPeriodUS,omitempty"`
 }
@@ -198,28 +192,12 @@ func DefaultSpec() Spec {
 	}
 }
 
-// DecodeStrict decodes the one JSON object in data into v. A key that
-// matches no field of v, at any depth, is an error, and so is anything
-// after the object: a misspelled key must fail, not silently run the
-// unmodified experiment.
-func DecodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the top-level object")
-	}
-	return nil
-}
-
 // ParseSpec overlays JSON onto DefaultSpec, so a spec file only states
-// what differs from the paper's testbed. Unknown keys and trailing data
-// are errors (see DecodeStrict).
+// what differs from the paper's testbed. Keys must match exactly;
+// unknown keys and trailing data are errors (see strictjson.Decode).
 func ParseSpec(data []byte) (Spec, error) {
 	s := DefaultSpec()
-	if err := DecodeStrict(data, &s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
@@ -263,8 +241,8 @@ func (s Spec) Validate() error {
 	if s.Traffic.SegmentBytes < 0 {
 		return fmt.Errorf("scenario: traffic segmentBytes %d is negative", s.Traffic.SegmentBytes)
 	}
-	if s.ParallelWorkers < 0 {
-		return fmt.Errorf("scenario: parallelWorkers %d is negative", s.ParallelWorkers)
+	if s.ParallelWorkers != 0 {
+		return fmt.Errorf("scenario: parallelWorkers %d: in-run parallelism was removed; run independent points in parallel with sweep -workers", s.ParallelWorkers)
 	}
 	cfg, err := s.clusterConfig()
 	if err != nil {
@@ -401,7 +379,6 @@ func (s Spec) clusterConfig() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg.FaultPlan = s.Faults
-	cfg.ParallelWorkers = s.ParallelWorkers
 	return cfg, nil
 }
 

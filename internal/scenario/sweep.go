@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"pushpull/internal/fault"
+	"pushpull/internal/strictjson"
 )
 
 // Sweep is a declarative parameter study: one base Spec expanded over a
@@ -98,7 +100,13 @@ type Point struct {
 	FaultPlan string
 }
 
-// Points reports the expansion size without expanding.
+// maxSweepPoints bounds a grid's expansion. Every point is a whole
+// simulation, so a larger grid is a mistake, and expanding it would
+// exhaust memory before the first point ran.
+const maxSweepPoints = 10000
+
+// Points reports the expansion size without expanding. It saturates at
+// math.MaxInt instead of overflowing.
 func (g Grid) Points() int {
 	n := 1
 	for _, axis := range []int{
@@ -106,6 +114,9 @@ func (g Grid) Points() int {
 		len(g.RTOMs), len(g.GBNWindows), len(g.Algorithms), len(g.FaultPlans), len(g.Seeds),
 	} {
 		if axis > 0 {
+			if n > math.MaxInt/axis {
+				return math.MaxInt
+			}
 			n *= axis
 		}
 	}
@@ -117,6 +128,9 @@ func (g Grid) Points() int {
 // kind cannot host) fails the whole expansion, so a sweep never runs
 // half a study.
 func (sw Sweep) Expand() ([]Point, error) {
+	if n := sw.Grid.Points(); n > maxSweepPoints {
+		return nil, fmt.Errorf("scenario: sweep grid has %d points, more than the %d a sweep may expand to", n, maxSweepPoints)
+	}
 	// Non-positive axis values would be silently ignored by the spec
 	// lowering (clusterConfig only applies them when > 0), leaving the
 	// point labelled with a parameter it did not run — reject them
@@ -423,7 +437,7 @@ func runPoint(pt Point, opts ...RunOption) (pr PointResult) {
 // ParseSpec, strictness included).
 func ParseSweep(data []byte) (Sweep, error) {
 	sw := Sweep{Base: DefaultSpec()}
-	if err := DecodeStrict(data, &sw); err != nil {
+	if err := strictjson.Decode(data, &sw); err != nil {
 		return Sweep{}, fmt.Errorf("scenario: parsing sweep: %w", err)
 	}
 	if _, err := sw.Expand(); err != nil {

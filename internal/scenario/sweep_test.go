@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -241,6 +242,48 @@ func TestParseSweepStrict(t *testing.T) {
 		if _, err := ParseSweep([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ParseSweep(%s) error = %v, want one mentioning %q", tc.name, tc.in, err, tc.want)
 		}
+	}
+}
+
+// TestParseSweepExactKeys: sweep keys, the base spec's included, match
+// exactly, and an unknown key is reported with its path.
+func TestParseSweepExactKeys(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{`{"name":"s","base":{"TRAFFIC":{"MESSAGES":3,"messages":9}}}`, `unknown field "TRAFFIC" at base.TRAFFIC (did you mean "traffic"?)`},
+		{`{"name":"s","grid":{"Seeds":[1]}}`, `unknown field "Seeds" at grid.Seeds (did you mean "seeds"?)`},
+		{`{"name":"s","base":{"traffic":{"mesages":3}}}`, `unknown field "mesages" at base.traffic.mesages`},
+	} {
+		if _, err := ParseSweep([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSweep(%s) error = %v, want one containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestSweepPointCap: a grid whose axis product exceeds the expansion
+// bound, or overflows int, is rejected before anything is allocated.
+func TestSweepPointCap(t *testing.T) {
+	ten := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	sw := Sweep{Name: "big", Base: DefaultSpec(), Grid: Grid{
+		Sizes: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Seeds: ten,
+		GBNWindows: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, PushedBufBytes: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		LossRates: []float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}}
+	if _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), "100000 points") {
+		t.Errorf("Expand(100000 points) = %v, want a point-cap error", err)
+	}
+	// 80^10 overflows int to a negative count, which once reached
+	// make([]Point, 0, n) and panicked.
+	r := make([]int, 80)
+	for i := range r {
+		r[i] = i + 1
+	}
+	sw.Grid = Grid{Nodes: r, ProcsPerNode: r, PushedBufBytes: r, Sizes: r, RTOMs: make([]float64, 80),
+		GBNWindows: r, LossRates: make([]float64, 80), Algorithms: make([]string, 80),
+		FaultPlans: make([]string, 80), Seeds: make([]uint64, 80)}
+	if n := sw.Grid.Points(); n != math.MaxInt {
+		t.Errorf("Points() = %d for an 80^10-point grid, want saturation at math.MaxInt", n)
+	}
+	if _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), "more than the 10000") {
+		t.Errorf("Expand(80^10 points) = %v, want a point-cap error", err)
 	}
 }
 

@@ -178,28 +178,20 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 	type chanKey = [2]int
 	samples := make([]float64, 0, planMsgs)
 
-	// Per-reactor accumulators: under a partitioned (PDES) cluster the
-	// reactors run concurrently on their nodes' shards, so they must not
-	// share mutable state. Each directed channel's reactor records into
-	// its own slot; the slots are merged after the run. Totals are
-	// order-independent, so they merge identically in both modes; raw
-	// samples are digested in order, so the sequential engine keeps its
-	// original global-event-order interleave (preserving the pinned
-	// digests) while a partitioned run concatenates per-channel in
-	// sorted (from, to) order — one more way a partition's digest
-	// legitimately differs from the sequential engine's, while staying
-	// byte-identical for any worker count.
+	// Per-reactor accumulators: each directed channel's reactor counts
+	// into its own slot, merged in sorted channel order after the run so
+	// the reported error does not depend on map iteration. Samples go
+	// straight to the global slice in delivery order, the order the
+	// pinned digests use.
 	type wfAcc struct {
-		samples []float64
-		msgs    int
-		bytes   uint64
-		err     error
+		msgs  int
+		bytes uint64
+		err   error
 	}
 	accs := make(map[chanKey]*wfAcc, len(counts))
-	for ck, cnt := range counts {
-		accs[ck] = &wfAcc{samples: make([]float64, 0, cnt)}
+	for ck := range counts {
+		accs[ck] = &wfAcc{}
 	}
-	sequential := c.Partition == nil
 
 	// Each active directed channel reuses one source staging buffer (the
 	// translation cost is per-address, so reuse mirrors a real sender's
@@ -227,11 +219,7 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 		key := binary.LittleEndian.Uint64(data[0:8])
 		depth := int(data[8])
 		sentAt := sim.Time(binary.LittleEndian.Uint64(data[9:17]))
-		if sequential {
-			samples = append(samples, t.Now().Sub(sentAt).Microseconds())
-		} else {
-			acc.samples = append(acc.samples, t.Now().Sub(sentAt).Microseconds())
-		}
+		samples = append(samples, t.Now().Sub(sentAt).Microseconds())
 		acc.msgs++
 		acc.bytes += uint64(len(data))
 		if depth >= p.depth {
@@ -268,8 +256,7 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 		}
 	})
 	simErr := runSim(c, s)
-	// Merge the per-reactor accumulators in sorted channel order — the
-	// same order for any worker count (and any map iteration).
+	// Merge the per-reactor accumulators in sorted channel order.
 	keys := make([]chanKey, 0, len(accs))
 	for ck := range accs {
 		keys = append(keys, ck)
@@ -291,9 +278,6 @@ func runWavefront(c *cluster.Cluster, s Spec) ([]float64, uint64, error) {
 		gotBytes += acc.bytes
 		if acc.err != nil && runErr == nil {
 			runErr = acc.err
-		}
-		if !sequential {
-			samples = append(samples, acc.samples...)
 		}
 	}
 	// A reactor's Recv error strands its peers, so the budget usually

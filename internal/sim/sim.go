@@ -44,14 +44,9 @@
 // goroutine.
 //
 // All state is confined to a single Engine; engines are not safe for use
-// from multiple goroutines except through the process mechanism. For
-// parallelism inside one run, a Partition (conservative barrier-
-// synchronous PDES, see pdes.go) shards a simulation across several
-// engines: each engine is still driven by exactly one goroutine at a
-// time — a worker owns it for one superstep window, and the barrier
-// between supersteps establishes the happens-before edge before another
-// worker may touch it — so per-engine code keeps the single-threaded
-// model, and cross-shard effects go through Engine.ScheduleOn.
+// from multiple goroutines except through the process mechanism.
+// Parallelism lives one level up: independent runs (sweep points, study
+// jobs) each own an engine and execute concurrently.
 package sim
 
 import "fmt"
