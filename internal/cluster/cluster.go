@@ -252,7 +252,8 @@ func (c *Cluster) Spawn(node, cpu int, name string, body func(t *smp.Thread)) {
 func (c *Cluster) Run() sim.Time { return c.Engine.Run() }
 
 // RunUntil executes events with timestamps <= limit and returns the
-// virtual clock.
+// virtual clock, which is left at the last executed event: it does not
+// move to limit when the next event lies beyond it.
 func (c *Cluster) RunUntil(limit sim.Time) sim.Time { return c.Engine.RunUntil(limit) }
 
 // Now reports the cluster's virtual time.

@@ -127,6 +127,40 @@ type halfLink struct {
 	// one comparison per frame.
 	inj       *fault.LinkInjector
 	faultLost uint64
+
+	flight inFlight
+}
+
+// inFlight holds the frames that finished serializing on one medium and
+// await delivery after its propagation delay. The delay is constant per
+// medium, so deliveries fire in the order they were scheduled, and one
+// prebound callback popping the FIFO head takes the same (now+d,
+// PriorityNormal) slot a per-frame closure would, without allocating.
+type inFlight struct {
+	q         *sim.Queue[delivery]
+	deliverFn func() // bound deliverNext, created once
+}
+
+type delivery struct {
+	dst Port
+	f   Frame
+}
+
+// send queues f for dst and schedules its delivery after prop.
+func (w *inFlight) send(e *sim.Engine, prop sim.Duration, dst Port, f Frame) {
+	if w.q == nil {
+		w.q = sim.NewQueue[delivery](e, 0)
+		w.deliverFn = w.deliverNext
+	}
+	w.q.TryPut(delivery{dst: dst, f: f})
+	e.Schedule(prop, w.deliverFn)
+}
+
+// deliverNext hands the oldest in-flight frame to its port. The frame
+// leaves the queue before the call, which may transmit again.
+func (w *inFlight) deliverNext() {
+	d, _ := w.q.TryGet()
+	d.dst.DeliverFrame(d.f)
 }
 
 // Link is a full-duplex point-to-point Fast Ethernet segment between two
@@ -229,7 +263,5 @@ func (h *halfLink) finish(f Frame) {
 		h.faultLost++
 		return
 	}
-	frame := f
-	dst := h.dst
-	h.e.Schedule(h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
+	h.flight.send(h.e, h.cfg.Propagation, h.dst, f)
 }

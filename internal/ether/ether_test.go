@@ -184,3 +184,76 @@ func TestSwitchOutputQueueOverflow(t *testing.T) {
 		t.Errorf("delivered %d + dropped %d != sent 8", len(b.frames), sw.Dropped())
 	}
 }
+
+// countPort is a Port that only counts deliveries, so a delivery itself
+// allocates nothing.
+type countPort struct{ id, n int }
+
+func (c *countPort) NodeID() int        { return c.id }
+func (c *countPort) DeliverFrame(Frame) { c.n++ }
+
+// TestSteadyTransmitDoesNotAllocate: once warm, transmitting a frame on
+// a Link or a Hub and delivering it allocates nothing — the in-flight
+// FIFO and its prebound delivery callback replace a closure per frame.
+func TestSteadyTransmitDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine(1)
+	a := &countPort{id: 0}
+	b := &countPort{id: 1}
+	hub := NewHub(e, FastEthernet())
+	hub.Attach(a)
+	hub.Attach(b)
+	f := Frame{Src: 0, Dst: 1, PayloadBytes: 100, Payload: &countPort{}}
+	for _, m := range []Medium{NewLink(e, FastEthernet(), a, b), hub} {
+		var cur TxCursor
+		tk := e.NewTasklet("tx", func(tk *sim.Tasklet) {
+			if m.TransmitStep(tk, &cur, a, f) {
+				cur = TxCursor{}
+			}
+		})
+		before := b.n
+		allocs := testing.AllocsPerRun(100, func() {
+			tk.Wake()
+			e.Run()
+		})
+		if b.n-before != 101 {
+			t.Fatalf("%T: %d frames delivered, want 101", m, b.n-before)
+		}
+		if allocs != 0 {
+			t.Errorf("%T: transmit and deliver allocates %.1f times per frame, want 0", m, allocs)
+		}
+	}
+}
+
+// TestInFlightOrderUnderLongPropagation: with a propagation delay a
+// hundred frames long, the in-flight FIFO never drains while the sender
+// streams, so it compacts; deliveries keep their order and timing.
+func TestInFlightOrderUnderLongPropagation(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := FastEthernet()
+	cfg.Propagation = 100 * cfg.WireTime(100)
+	a := &collector{id: 0, e: e}
+	b := &collector{id: 1, e: e}
+	l := NewLink(e, cfg, a, b)
+	const n = 300
+	e.Go("tx", func(p *sim.Process) {
+		for i := 0; i < n; i++ {
+			l.Transmit(p, a, Frame{Src: 0, Dst: 1, PayloadBytes: 100, Payload: i})
+		}
+	})
+	e.Run()
+	if len(b.frames) != n {
+		t.Fatalf("%d frames delivered, want %d", len(b.frames), n)
+	}
+	for i, f := range b.frames {
+		want := sim.Time(sim.Duration(i+1)*cfg.WireTime(100) + cfg.Propagation)
+		if b.times[i] != want {
+			t.Fatalf("frame %d delivered at %v, want %v", i, b.times[i], want)
+		}
+		if f.Payload != i {
+			t.Fatalf("delivery %d carried frame %v", i, f.Payload)
+		}
+	}
+	if l.ab.flight.q.Len() != 0 {
+		t.Fatalf("%d frames still in flight after the run", l.ab.flight.q.Len())
+	}
+}

@@ -37,6 +37,8 @@ type Hub struct {
 
 	inj       *fault.HubInjector
 	faultLost uint64
+
+	flight inFlight
 }
 
 // NewHub creates a hub. Attach every NIC with Attach; the hub itself is
@@ -153,6 +155,5 @@ func (h *Hub) finish(f Frame) {
 	if !ok {
 		return // repeated to every station; nobody claims it
 	}
-	frame := f
-	h.e.Schedule(h.cfg.Propagation, func() { dst.DeliverFrame(frame) })
+	h.flight.send(h.e, h.cfg.Propagation, dst, f)
 }

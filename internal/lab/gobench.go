@@ -84,6 +84,20 @@ func GoBenchmarks() []GoBenchmark {
 			},
 		},
 		{
+			Name: "BenchmarkProcessSleep", Note: "one sleep of a lone process per op (advances inline, no handoff)",
+			F: func(b *testing.B) {
+				e := sim.NewEngine(1)
+				e.Go("sleeper", func(p *sim.Process) {
+					for i := 0; i < b.N; i++ {
+						p.Sleep(sim.Microsecond)
+					}
+				})
+				b.ReportAllocs()
+				b.ResetTimer()
+				e.Run()
+			},
+		},
+		{
 			Name: "BenchmarkTaskletSwitch", Note: "two tasklets yielding per op (inline dispatch, no goroutine handoff)",
 			F: func(b *testing.B) {
 				e := sim.NewEngine(1)

@@ -108,6 +108,8 @@ func RunConfig(cfg cluster.Config, spec Spec, opts ...RunOption) (*Result, error
 		res.Degradation = degradation(c)
 	}
 	res.seal(samples, o.keepSamples)
+	st := c.Engine.Stats()
+	res.Engine = &st
 	if len(c.NICs) > 0 {
 		fl := c.FrameLoss()
 		res.FrameLoss = &fl

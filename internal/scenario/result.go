@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 
 	"pushpull/internal/cluster"
+	"pushpull/internal/sim"
 	"pushpull/internal/stats"
 )
 
@@ -51,6 +52,12 @@ type Result struct {
 	// from the digest (see seal), so the pre-existing pinned digests —
 	// including the lossy ones — are unaffected by its introduction.
 	FrameLoss *cluster.FrameLoss `json:"frameLoss,omitempty"`
+	// Engine reports the simulation kernel's work for the run: events
+	// executed, processes spawned, process sleeps advanced inline versus
+	// parked, and the peak heap depth. Deterministic, but set after
+	// sealing and excluded from the digest like FrameLoss, so it can grow
+	// without moving a pinned digest.
+	Engine *sim.Stats `json:"engine,omitempty"`
 	// Samples holds the raw per-message latencies (µs) when the run was
 	// asked to keep them.
 	Samples []float64 `json:"samples,omitempty"`
@@ -119,15 +126,15 @@ type NodeDegradation struct {
 func (r *Result) seal(samples []float64, keepSamples bool) {
 	r.Samples = samples
 	r.Digest = ""
-	fl := r.FrameLoss
-	r.FrameLoss = nil // observational, not digested (restored below)
+	fl, eng := r.FrameLoss, r.Engine
+	r.FrameLoss, r.Engine = nil, nil // observational, not digested (restored below)
 	enc, err := json.Marshal(r)
 	if err != nil {
 		panic(err) // plain-data struct: cannot fail
 	}
 	sum := sha256.Sum256(enc)
 	r.Digest = hex.EncodeToString(sum[:])
-	r.FrameLoss = fl
+	r.FrameLoss, r.Engine = fl, eng
 	if !keepSamples {
 		r.Samples = nil
 	}

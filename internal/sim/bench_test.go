@@ -43,7 +43,8 @@ func BenchmarkSameTimeDispatch(b *testing.B) {
 }
 
 // BenchmarkProcessSwitch measures one full engine->process->engine
-// context switch: two processes alternately yielding.
+// context switch: two processes alternately yielding. Each yield finds
+// the other process's resume already queued, so none advances inline.
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine(1)
 	body := func(p *Process) {
@@ -53,6 +54,26 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	}
 	e.Go("a", body)
 	e.Go("b", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	// Only the last yield, with the other process finished, may go inline.
+	if st := e.Stats(); st.SleepsInline > 1 {
+		b.Fatalf("%d of %d yields advanced inline: not measuring a switch", st.SleepsInline, 2*b.N)
+	}
+}
+
+// BenchmarkProcessSleep measures a lone process sleeping d > 0: its wake
+// is always the next event, so every sleep advances the clock inline
+// without leaving the process.
+func BenchmarkProcessSleep(b *testing.B) {
+	e := NewEngine(1)
+	e.Go("sleeper", func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Microsecond)
+		}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

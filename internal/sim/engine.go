@@ -80,7 +80,10 @@ type Engine struct {
 	dqHead int
 
 	stopped bool
-	rng     *Rand
+	// limit is the bound of the innermost running RunUntil: events later
+	// than it stay queued, so an inline sleep must not pass it either.
+	limit Time
+	rng   *Rand
 
 	nproc int        // live (not yet finished) processes
 	procs []*Process // registry of live processes, for Shutdown
@@ -90,6 +93,29 @@ type Engine struct {
 	fault     any // panic captured from a process, re-raised in Run
 	executed  uint64
 	nameCount map[string]int
+
+	// Observational counters (Stats); none of them steers execution.
+	spawned      uint64
+	sleepsInline uint64
+	sleepsParked uint64
+	peakHeap     int
+}
+
+// Stats is a snapshot of the engine's work counters. Every value is a
+// deterministic function of the model and seed.
+type Stats struct {
+	// Executed counts events run, inline process sleeps included.
+	Executed uint64 `json:"executed"`
+	// Spawned counts processes created with Go or GoAt.
+	Spawned uint64 `json:"spawned"`
+	// SleepsInline counts Process.Sleep calls whose wake was the very
+	// next event and which therefore advanced the clock without parking;
+	// SleepsParked counts the ones that parked until a scheduled wake.
+	SleepsInline uint64 `json:"sleepsInline"`
+	SleepsParked uint64 `json:"sleepsParked"`
+	// PeakHeap is the largest number of events the timed heap held at
+	// once (the same-time dispatch ring is not counted).
+	PeakHeap int `json:"peakHeap"`
 }
 
 // NewEngine returns an engine at virtual time zero with a deterministic
@@ -109,6 +135,17 @@ func (e *Engine) Rand() *Rand { return e.rng }
 
 // Executed reports how many events have run so far; useful in tests.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Stats reports the engine's work counters so far.
+func (e *Engine) Stats() Stats {
+	return Stats{
+		Executed:     e.executed,
+		Spawned:      e.spawned,
+		SleepsInline: e.sleepsInline,
+		SleepsParked: e.sleepsParked,
+		PeakHeap:     e.peakHeap,
+	}
+}
 
 // Schedule runs fn at virtual time e.Now()+d with normal priority.
 func (e *Engine) Schedule(d Duration, fn func()) { e.At(e.now.Add(d), PriorityNormal, fn) }
@@ -173,33 +210,24 @@ func (e *Engine) Stop() { e.stopped = true }
 // called. It returns the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Time(1<<63 - 1)) }
 
-// RunUntil executes events with timestamps <= limit, then returns. The
-// clock is left at the last executed event (or limit if nothing ran after
-// it); pending later events remain queued.
+// RunUntil executes events with timestamps <= limit, then returns the
+// virtual clock. The clock is left at the last executed event: it never
+// moves to limit by itself, so RunUntil(5) with a single event at 10
+// returns 0 and leaves that event pending.
 //
 // The loop is a two-way merge of the heap and the direct-dispatch queue:
 // both are ordered by (time, priority, seq), so popping the smaller head
 // preserves the engine's total execution order exactly.
 func (e *Engine) RunUntil(limit Time) Time {
 	e.stopped = false
+	e.limit = limit
 	for !e.stopped {
 		hasDQ := e.dqHead < len(e.dq)
-		hasHeap := len(e.events) > 0
-		if !hasDQ && !hasHeap {
+		if !hasDQ && len(e.events) == 0 {
 			break
 		}
-		useHeap := hasHeap
-		if hasDQ && hasHeap {
-			// The dispatch head's key is (e.now, PriorityNormal, seq);
-			// the heap wins only with a strictly smaller key.
-			top := e.events[0]
-			if top.at > e.now || (top.at == e.now &&
-				(top.prio > PriorityNormal ||
-					(top.prio == PriorityNormal && top.seq > e.dq[e.dqHead].seq))) {
-				useHeap = false
-			}
-		}
-		if useHeap {
+		// The dispatch head's key is (e.now, PriorityNormal, seq).
+		if !hasDQ || e.heapBefore(e.now, e.dq[e.dqHead].seq) {
 			next := e.events[0]
 			if next.at > limit {
 				break
@@ -235,6 +263,22 @@ func (e *Engine) RunUntil(limit Time) Time {
 		fn()
 	}
 	return e.now
+}
+
+// heapBefore reports whether the heap holds an event that runs before
+// the slot (t, PriorityNormal, seq). It is the one comparison between
+// the heap and a normal-priority slot: RunUntil merges the dispatch ring
+// through it, and Process.Sleep asks it whether its own wake would be
+// the next event.
+func (e *Engine) heapBefore(t Time, seq uint64) bool {
+	if len(e.events) == 0 {
+		return false
+	}
+	top := e.events[0]
+	if top.at != t {
+		return top.at < t
+	}
+	return top.prio < PriorityNormal || (top.prio == PriorityNormal && top.seq < seq)
 }
 
 // Pending reports the number of queued events.
@@ -333,6 +377,9 @@ func eventLess(a, b *event) bool {
 func (e *Engine) heapPush(ev *event) {
 	ev.idx = len(e.events)
 	e.events = append(e.events, ev)
+	if len(e.events) > e.peakHeap {
+		e.peakHeap = len(e.events)
+	}
 	e.siftUp(ev.idx)
 }
 

@@ -63,6 +63,7 @@ func (e *Engine) Go(name string, body func(p *Process)) *Process {
 // GoAt is like Go but delays the start of the process by d.
 func (e *Engine) GoAt(d Duration, name string, body func(p *Process)) *Process {
 	p := &Process{e: e, name: e.uniqueName(name)}
+	e.spawned++
 	p.transferFn = p.transfer
 	p.wakeFn = func() {
 		p.wakePending = false
@@ -170,11 +171,30 @@ func (p *Process) Done() bool { return p.done }
 
 // Sleep suspends the process for virtual duration d. Sleeping a negative
 // duration panics; sleeping zero yields to other events at the same time.
+//
+// The wake takes the slot (now+d, PriorityNormal, next seq). When that
+// slot would be the very next event to run anyway — nothing on the
+// dispatch ring, no heap event before it, inside the running RunUntil
+// limit, no Stop or Shutdown under way — Sleep consumes the slot in place:
+// it takes the sequence number, counts the event and advances the clock
+// without the two coroutine switches of parking. The execution order is
+// exactly the one the scheduled wake would produce.
 func (p *Process) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s sleeping negative duration %d", p.name, d))
 	}
-	p.e.At(p.e.now.Add(d), PriorityNormal, p.transferFn)
+	e := p.e
+	t := e.now.Add(d)
+	if e.dqHead == len(e.dq) && !e.heapBefore(t, e.seq+1) &&
+		t <= e.limit && !e.stopped && !e.dying {
+		e.seq++
+		e.executed++
+		e.sleepsInline++
+		e.now = t
+		return
+	}
+	e.sleepsParked++
+	e.At(t, PriorityNormal, p.transferFn)
 	p.park()
 }
 

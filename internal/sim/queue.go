@@ -6,8 +6,12 @@ package sim
 // a full queue — that is how lossy hardware rings (NIC FIFOs, switch ports)
 // are modelled.
 type Queue[T any] struct {
-	e        *Engine
+	e *Engine
+	// items[head:] are the queued items. Popping advances head instead of
+	// reslicing, so the backing array keeps its capacity and appends reuse
+	// it, the way the engine's dispatch ring does.
 	items    []T
+	head     int
 	capacity int
 	notEmpty *Cond
 	notFull  *Cond
@@ -32,7 +36,7 @@ func (q *Queue[T]) SetName(name string) {
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Cap reports the capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.capacity }
@@ -40,7 +44,7 @@ func (q *Queue[T]) Cap() int { return q.capacity }
 // Dropped reports how many TryPut calls failed because the queue was full.
 func (q *Queue[T]) Dropped() uint64 { return q.dropped }
 
-func (q *Queue[T]) full() bool { return q.capacity > 0 && len(q.items) >= q.capacity }
+func (q *Queue[T]) full() bool { return q.capacity > 0 && q.Len() >= q.capacity }
 
 // TryPut appends v if there is room and reports whether it did. On failure
 // the item is counted as dropped.
@@ -79,13 +83,22 @@ func (q *Queue[T]) PollPut(w Waiter, v T) bool {
 // TryGet removes and returns the head item without blocking. ok is false if
 // the queue is empty.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
+	v = q.items[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	} else if q.head >= 64 && q.head*2 >= len(q.items) {
+		// A queue that never drains would otherwise grow without bound;
+		// compact, clearing the vacated tail so it retains nothing.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.notFull.Signal()
 	return v, true
 }
@@ -93,7 +106,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 // Get removes and returns the head item, blocking the calling process while
 // the queue is empty.
 func (q *Queue[T]) Get(p *Process) T {
-	q.notEmpty.WaitFor(p, func() bool { return len(q.items) > 0 })
+	q.notEmpty.WaitFor(p, func() bool { return q.Len() > 0 })
 	v, _ := q.TryGet()
 	return v
 }
@@ -102,7 +115,7 @@ func (q *Queue[T]) Get(p *Process) T {
 // if there is one; otherwise it registers w for a wake when an item
 // arrives and reports false.
 func (q *Queue[T]) PollGet(w Waiter) (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		q.notEmpty.Await(w)
 		return v, false
 	}
@@ -112,8 +125,8 @@ func (q *Queue[T]) PollGet(w Waiter) (v T, ok bool) {
 
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return v, false
 	}
-	return q.items[0], true
+	return q.items[q.head], true
 }

@@ -15,7 +15,9 @@
 //     straight-line protocol code yet remains deterministic. Each resume
 //     is a coroutine switch (iter.Pull) to the process's goroutine and
 //     back: cheap enough for application code and interrupt handlers,
-//     still several times a tasklet resume.
+//     still several times a tasklet resume. A Sleep whose wake would be
+//     the very next event anyway advances the clock in place instead,
+//     with no switch and the same execution order.
 //   - Tasklets (sim.Tasklet): resumable state-machine callbacks dispatched
 //     inline by the engine with zero goroutine handoff. A tasklet's step
 //     function runs in engine context and parks by registering with a
